@@ -50,7 +50,9 @@ const BURST: usize = 25_000;
 const SWAP_EVERY: Duration = Duration::from_millis(10);
 const TICK_EVERY: Duration = Duration::from_millis(10);
 const SETUPS: usize = 3;
-const MAX_BATCH: usize = 256;
+/// With the 200 µs deadline, `low` (about 4 arrivals per deadline)
+/// closes batches on the deadline and `high` (about 40) on this size.
+const MAX_BATCH: usize = 32;
 const MIN_ROUNDS: usize = 2;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
