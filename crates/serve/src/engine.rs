@@ -1,17 +1,43 @@
-//! The request engine: MPSC ingest → micro-batcher → striped compiled-tree
-//! execution on the shared worker pool.
+//! The request engine: one micro-batcher, driven inline on a virtual
+//! clock or by a thread on the real clock, executing striped compiled-tree
+//! batches on the shared worker pool.
 //!
-//! One long-lived **batcher thread** owns the ingest queue. It opens a
-//! batch at the first queued request and flushes when either `max_batch`
-//! requests are queued or `max_delay` has elapsed since the batch opened —
-//! the classic size-or-deadline micro-batching rule. Each flush:
+//! A `Batcher` is a state machine over one open batch and owns no thread
+//! and no queue. It has three operations:
+//!
+//! * `offer` appends a request's feature row to the open batch's row
+//!   arena (opening a batch if none is open) and closes the batch once it
+//!   holds `max_batch` requests;
+//! * `flush` closes the open batch now;
+//! * `close` flushes and returns the engine's lifetime log.
+//!
+//! Which code drives it is chosen by the server's [`Clock`]:
+//!
+//! * **Virtual clock** ([`TreeServer::start_clocked`] with
+//!   [`Clock::virtual_at`]): no thread at all. [`ServerHandle::submit`]
+//!   offers the request inline under the server's lock,
+//!   [`ServerHandle::collect`] flushes and takes the answers already
+//!   delivered to the handle, and [`TreeServer::shutdown`] closes. There
+//!   is no wall deadline: a batch closes on size, a collect, or shutdown,
+//!   so batch composition is a function of submission order alone, and a
+//!   request's latency is the batch's virtual close time (its latest
+//!   submit stamp) minus the request's own submit stamp — a pure function
+//!   of the event schedule. That is what lets `metis_sim` run millions of
+//!   virtual sessions through this exact hot path with bit-identical
+//!   reports for any thread count.
+//! * **Real clock** ([`TreeServer::start`]): one batcher thread receives
+//!   requests from an unbounded MPSC queue, offers each, and flushes when
+//!   `max_delay` has elapsed since the batch opened — the classic
+//!   size-or-deadline micro-batching rule, with wall-time stamps.
+//!
+//! Each flush:
 //!
 //! 1. pins the live model epoch ([`crate::ModelRegistry::current`]) — a
 //!    concurrent hot swap never retroactively changes a dispatched batch,
-//! 2. walks the batch through the epoch's [`crate::ServedModel`] — a
-//!    single lane-vectorized compiled tree or a block-major
-//!    [`metis_dt::Forest`] ensemble — into a scratch buffer reused
-//!    across flushes ([`crate::ServedModel::predict_batch_into`]),
+//! 2. walks the batch's row arena through the epoch's
+//!    [`crate::ServedModel`] — a single lane-vectorized compiled tree or a
+//!    block-major [`metis_dt::Forest`] ensemble — into a scratch buffer
+//!    reused across flushes ([`crate::ServedModel::predict_batch_into`]),
 //!    striping row chunks across
 //!    [`metis_nn::par::parallel_map_indexed`] under the engine's
 //!    **dedicated pool group** (so serving shares the process-wide pool
@@ -26,17 +52,6 @@
 //! the sequential oracle on the reported epoch's source trees (single
 //! `DecisionTree::predict`, or the forest's majority vote) for any batch
 //! size, deadline, thread count, or swap interleaving.
-//!
-//! **Time** comes from a [`Clock`]: [`TreeServer::start`] runs on the
-//! real clock (wall-time stamps and the deadline flush, exactly the
-//! pre-clock behavior), while [`TreeServer::start_clocked`] with a
-//! virtual clock turns the engine into a discrete-event component — no
-//! wall deadline at all (batches close on size, an explicit
-//! [`ServerHandle`] flush, or shutdown), and per-request latency is the
-//! batch's virtual close time minus the request's virtual submit stamp,
-//! a pure function of the event schedule. That is what lets `metis_sim`
-//! run millions of virtual sessions through this exact hot path with
-//! bit-identical reports for any thread count.
 
 use crate::clock::Clock;
 use crate::latency::{LatencyRecorder, LatencySummary};
@@ -45,7 +60,7 @@ use metis_dt::Prediction;
 use metis_telemetry::{FlushStamps, ShardTelemetry};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,13 +69,14 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Flush a batch as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush an incomplete batch this long after it opened.
+    /// Flush an incomplete batch this long after it opened (real clock
+    /// only; a virtual clock has no wall deadline).
     pub max_delay: Duration,
     /// Worker threads a flush stripes across (0 = all cores). Results are
     /// identical for any value.
     pub threads: usize,
     /// Rows per pool stripe chunk; batches at or below this size execute
-    /// inline on the batcher thread.
+    /// inline on the flushing thread.
     pub stripe_rows: usize,
     /// Pool scheduling group this server's flushes submit under. `None`
     /// (the default) reserves a fresh group per batcher, making the
@@ -95,9 +111,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// One in-flight request. `submitted` is a [`Clock`] reading (seconds),
-/// so the same struct carries wall stamps under the real clock and event
-/// stamps under a virtual one.
+/// One request on the real-clock batcher thread's queue. `submitted` is
+/// a [`Clock`] reading (seconds).
 pub struct Request {
     pub id: u64,
     pub features: Vec<f64>,
@@ -122,14 +137,10 @@ pub struct Response {
 
 enum Msg {
     Req(Request),
-    /// Close the open batch now (no-op when none is open). Virtual-clock
-    /// collectors send this instead of relying on a wall deadline, so
-    /// batch composition is a function of submission order alone.
-    Flush,
     Shutdown,
 }
 
-/// What the batcher thread accumulated over its lifetime.
+/// What a batcher accumulated over its lifetime.
 #[derive(Default)]
 struct EngineLog {
     latency: LatencyRecorder,
@@ -143,17 +154,304 @@ struct EngineLog {
     per_width: BTreeMap<usize, LatencyRecorder>,
 }
 
-/// Row and prediction buffers a batcher reuses across flushes, so the
+impl EngineLog {
+    fn into_report(self) -> EngineReport {
+        let batches = self.batches.max(1);
+        EngineReport {
+            served: self.served,
+            batches: self.batches,
+            delivery_failures: self.delivery_failures,
+            max_batch_seen: self.max_batch_seen,
+            mean_batch: self.served as f64 / batches as f64,
+            latency: self.latency.summary(),
+            recorder: self.latency,
+            per_epoch: self.per_epoch.into_iter().collect(),
+            per_width: self
+                .per_width
+                .into_iter()
+                .map(|(w, rec)| (w, rec.summary()))
+                .collect(),
+        }
+    }
+}
+
+/// Prediction and latency buffers a batcher reuses across flushes, so the
 /// steady-state flush path allocates nothing per batch.
 #[derive(Default)]
 struct FlushScratch {
-    rows: Vec<f64>,
     predictions: Vec<Prediction>,
     /// Per-request latency / queue-wait of the batch in flight, staged
     /// here so telemetry records them in one amortized pass before any
     /// response is delivered.
     latencies: Vec<f64>,
     queue_waits: Vec<f64>,
+}
+
+/// A request in the open batch; its feature row sits at the same index
+/// of the batch's row arena.
+struct Pending<R> {
+    id: u64,
+    submitted: f64,
+    reply: R,
+}
+
+/// The micro-batcher state machine shared by both drivers. `R` is where
+/// an answer goes: a handle's inbox index inline, a reply channel on the
+/// batcher thread. Every operation that can close a batch takes a
+/// `deliver` callback that hands one answer to its reply target and
+/// reports whether it arrived.
+struct Batcher<R> {
+    registry: Arc<ModelRegistry>,
+    cfg: ServeConfig,
+    group: u64,
+    clock: Arc<Clock>,
+    log: EngineLog,
+    scratch: FlushScratch,
+    /// The open batch (empty = none open)…
+    open: Vec<Pending<R>>,
+    /// …and its feature rows, row-major; the capacity survives flushes.
+    rows: Vec<f64>,
+    /// Wall stamp of the batch opening (real clock + telemetry only).
+    wall_open_s: Option<f64>,
+}
+
+impl<R> Batcher<R> {
+    fn new(registry: Arc<ModelRegistry>, cfg: ServeConfig, clock: Arc<Clock>) -> Self {
+        // Pool submissions carry this server's group (its own fresh one by
+        // default), so the pool's scheduler treats the serving path as one
+        // tenant — or as part of a shared tenant when the config says so.
+        let group = cfg.group.unwrap_or_else(metis_nn::par::fresh_group);
+        Batcher {
+            registry,
+            cfg,
+            group,
+            clock,
+            log: EngineLog::default(),
+            scratch: FlushScratch::default(),
+            open: Vec::new(),
+            rows: Vec::new(),
+            wall_open_s: None,
+        }
+    }
+
+    fn is_open(&self) -> bool {
+        !self.open.is_empty()
+    }
+
+    /// Append one request to the open batch, opening one if none is open,
+    /// and close the batch once it holds `max_batch` requests.
+    fn offer(
+        &mut self,
+        id: u64,
+        features: &[f64],
+        submitted: f64,
+        reply: R,
+        deliver: impl FnMut(R, Response) -> bool,
+    ) {
+        if self.open.is_empty() {
+            if let Some(scope) = self.cfg.telemetry.as_deref() {
+                scope.on_batch_open();
+                // Only read under a real clock — virtual stamps derive
+                // from the batch's submit stamps in `flush`, never from a
+                // live read.
+                self.wall_open_s = (!self.clock.is_virtual()).then(|| self.clock.now_s());
+            }
+        }
+        self.rows.extend_from_slice(features);
+        self.open.push(Pending {
+            id,
+            submitted,
+            reply,
+        });
+        if self.open.len() >= self.cfg.max_batch {
+            self.flush(deliver);
+        }
+    }
+
+    /// Close the open batch now (a no-op when none is open): run it
+    /// through the live epoch's model, account for it, and deliver every
+    /// answer.
+    fn flush(&mut self, mut deliver: impl FnMut(R, Response) -> bool) {
+        let n = self.open.len();
+        if n == 0 {
+            return;
+        }
+        let clock = &*self.clock;
+        // Virtual-clock latency must not read the clock here: concurrent
+        // drivers may have pushed the high-water mark past this batch's
+        // events, and a racy read would leak host scheduling into the
+        // report. The batch closes at its **latest submit stamp** — a pure
+        // function of the event schedule — so latency_i = close - stamp_i,
+        // the virtual batching delay.
+        let virtual_close_s = clock
+            .is_virtual()
+            .then(|| self.open.iter().map(|p| p.submitted).fold(0.0, f64::max));
+        // Telemetry stamps follow the same discipline: under a virtual clock
+        // the batch "opens" at its earliest submit stamp and the kernel/close
+        // stamps collapse onto the batch close — all pure functions of the
+        // schedule, so the span stream digests identically for any thread
+        // count. Under a real clock they are wall reads around the work.
+        let scope = self.cfg.telemetry.as_deref();
+        let open_s = scope.map(|_| match virtual_close_s {
+            Some(_) => self
+                .open
+                .iter()
+                .map(|p| p.submitted)
+                .fold(f64::INFINITY, f64::min),
+            None => self.wall_open_s.unwrap_or_else(|| clock.now_s()),
+        });
+        if let Some(scope) = scope {
+            // One balance update per batch, not one RMW per request —
+            // the gauge is monitoring-only, never digested.
+            scope.queue_depth.add(-(n as i64));
+        }
+        // Pin the epoch for the whole batch: in-flight work finishes on the
+        // model it started with even if a publish lands mid-execution.
+        let epoch_model = self.registry.current();
+        let model = &epoch_model.model;
+        let n_features = model.n_features();
+        // Unreachable for well-typed use: submit() validates width and
+        // publish() keeps it invariant across epochs.
+        debug_assert_eq!(self.rows.len(), n * n_features);
+        let chunks = n.div_ceil(self.cfg.stripe_rows);
+        let kernel_start_s = scope.map(|_| virtual_close_s.unwrap_or_else(|| clock.now_s()));
+        let scratch = &mut self.scratch;
+        scratch.predictions.clear();
+        if chunks <= 1 {
+            // The steady-state micro-batch path: evaluate straight into the
+            // reused scratch buffer — no allocation per flush.
+            scratch.predictions.resize(n, Prediction::Class(0));
+            model.predict_batch_into(&self.rows, &mut scratch.predictions);
+        } else {
+            // Contiguous row chunks across the pool, merged in chunk order —
+            // identical to the single-chunk walk for any thread count. The
+            // deadline class steers which tenant's chunks the pool's helpers
+            // pick up first under contention; it never touches results.
+            let (rows, cfg) = (&self.rows, &self.cfg);
+            let chunked = metis_nn::par::with_deadline_class(cfg.deadline_class, || {
+                metis_nn::par::with_group(self.group, || {
+                    metis_nn::par::parallel_map_indexed(chunks, cfg.threads, |c| {
+                        let lo = c * cfg.stripe_rows;
+                        let hi = ((c + 1) * cfg.stripe_rows).min(n);
+                        model.predict_batch(&rows[lo * n_features..hi * n_features])
+                    })
+                })
+            });
+            for chunk in chunked {
+                scratch.predictions.extend_from_slice(&chunk);
+            }
+        }
+        let kernel_end_s = scope.map(|_| virtual_close_s.unwrap_or_else(|| clock.now_s()));
+        // One completion stamp per batch: the exact recorder, the
+        // per-width recorders and the telemetry sketch all see the same
+        // close, on either clock.
+        let close_s = virtual_close_s.unwrap_or_else(|| clock.now_s());
+        let log = &mut self.log;
+        log.batches += 1;
+        log.max_batch_seen = log.max_batch_seen.max(n);
+        *log.per_epoch.entry(epoch_model.epoch).or_insert(0) += n as u64;
+        log.served += n as u64;
+        // Accounting pass: stamp every request and stage its latency (and,
+        // with telemetry on, queue-wait) before anything is delivered.
+        let width_latency = log.per_width.entry(model.n_trees()).or_default();
+        scratch.latencies.clear();
+        scratch.queue_waits.clear();
+        for p in &self.open {
+            let latency_s = log.latency.record_span(p.submitted, close_s);
+            width_latency.record(latency_s);
+            scratch.latencies.push(latency_s);
+            if scope.is_some() {
+                // Queue-wait = submit → kernel start: everything before the
+                // model ran (ingest wait + batch formation).
+                scratch
+                    .queue_waits
+                    .push((kernel_start_s.unwrap_or(close_s) - p.submitted).max(0.0));
+            }
+        }
+        // Record ALL the batch's telemetry (spans, flush event, served
+        // counters, request sketches) BEFORE delivering any response: a
+        // driver that has drained a wave must observe a quiescent scope,
+        // otherwise the digest races the tail of the flush and drifts
+        // across thread counts.
+        if let Some(scope) = scope {
+            scope.record_flush(&FlushStamps {
+                open_s: open_s.unwrap_or(close_s),
+                kernel_start_s: kernel_start_s.unwrap_or(close_s),
+                kernel_end_s: kernel_end_s.unwrap_or(close_s),
+                close_s,
+                rows: n,
+                epoch: epoch_model.epoch,
+                width: model.n_trees(),
+            });
+            scope.on_requests(close_s, &scratch.latencies, &scratch.queue_waits);
+        }
+        for ((p, &prediction), &latency_s) in self
+            .open
+            .drain(..)
+            .zip(scratch.predictions.iter())
+            .zip(scratch.latencies.iter())
+        {
+            let response = Response {
+                id: p.id,
+                prediction,
+                epoch: epoch_model.epoch,
+                latency_s,
+                batch_size: n,
+            };
+            if !deliver(p.reply, response) {
+                log.delivery_failures += 1;
+            }
+        }
+        self.rows.clear();
+    }
+
+    /// Flush whatever is open and hand back the lifetime log.
+    fn close(mut self, deliver: impl FnMut(R, Response) -> bool) -> EngineLog {
+        self.flush(deliver);
+        self.log
+    }
+}
+
+/// The virtual-clock driver's state, shared by the server and its
+/// handles: the batcher (taken by shutdown) and one answer inbox per
+/// handle ever minted (`None` once that handle is dropped).
+struct Inline {
+    batcher: Option<Batcher<usize>>,
+    inboxes: Vec<Option<Vec<Response>>>,
+}
+
+/// The inline driver's `deliver`: push the answer into its handle's
+/// inbox, failing when the handle is gone.
+fn deliver_to(inboxes: &mut [Option<Vec<Response>>]) -> impl FnMut(usize, Response) -> bool + '_ {
+    move |inbox, response| match &mut inboxes[inbox] {
+        Some(answers) => {
+            answers.push(response);
+            true
+        }
+        None => false,
+    }
+}
+
+/// The real-clock driver's `deliver`.
+fn send_reply(reply: Sender<Response>, response: Response) -> bool {
+    reply.send(response).is_ok()
+}
+
+/// How a handle reaches its server's batcher.
+enum Ingest {
+    /// Virtual clock: the batcher itself, driven on the caller's thread,
+    /// and this handle's inbox in it.
+    Inline {
+        shared: Arc<Mutex<Inline>>,
+        inbox: usize,
+    },
+    /// Real clock: the batcher thread's queue and this handle's reply
+    /// channel.
+    Thread {
+        tx: Sender<Msg>,
+        reply_tx: Sender<Response>,
+        reply_rx: Receiver<Response>,
+    },
 }
 
 /// Lifetime summary of one [`TreeServer`], returned by
@@ -184,14 +482,12 @@ pub struct EngineReport {
     pub per_width: Vec<(usize, LatencySummary)>,
 }
 
-/// A per-client submission handle with its own response channel. Submit
-/// open-loop with [`ServerHandle::submit`]; gather everything outstanding
-/// with [`ServerHandle::collect`]. Handles are independent — one per
-/// client thread.
+/// A per-client submission handle. Submit open-loop with
+/// [`ServerHandle::submit`]; gather everything outstanding with
+/// [`ServerHandle::collect`]. Handles are independent — one per client
+/// thread.
 pub struct ServerHandle {
-    tx: Sender<Msg>,
-    reply_tx: Sender<Response>,
-    reply_rx: Receiver<Response>,
+    ingest: Ingest,
     next_id: u64,
     outstanding: usize,
     n_features: usize,
@@ -211,11 +507,13 @@ impl ServerHandle {
         &self.clock
     }
 
-    /// Enqueue one request and return its (per-handle) id. Never blocks on
-    /// the server: ingest is an unbounded MPSC queue. A malformed request
-    /// panics **here**, in the submitting client's thread — the shared
-    /// batcher never sees it, so one bad client cannot take the engine
-    /// down for its neighbours.
+    /// Submit one request and return its (per-handle) id. Never waits on
+    /// other requests: a real-clock server queues it for the batcher
+    /// thread, a virtual-clock server appends it to the open batch here,
+    /// flushing that batch inline if it just filled. A malformed request
+    /// panics **here**, in the submitting client's thread — the batcher
+    /// never sees it, so one bad client cannot take the engine down for
+    /// its neighbours.
     pub fn submit(&mut self, features: Vec<f64>) -> u64 {
         assert_eq!(
             features.len(),
@@ -230,14 +528,27 @@ impl ServerHandle {
         if let Some(scope) = &self.telemetry {
             scope.queue_depth.inc();
         }
-        self.tx
-            .send(Msg::Req(Request {
-                id,
-                features,
-                submitted: self.clock.now_s(),
-                reply: self.reply_tx.clone(),
-            }))
-            .expect("TreeServer ingest queue closed while submitting");
+        let submitted = self.clock.now_s();
+        match &self.ingest {
+            Ingest::Inline { shared, inbox } => {
+                let mut state = shared
+                    .lock()
+                    .expect("TreeServer state poisoned by a panicked flush");
+                let Inline { batcher, inboxes } = &mut *state;
+                batcher
+                    .as_mut()
+                    .expect("TreeServer shut down while submitting")
+                    .offer(id, &features, submitted, *inbox, deliver_to(inboxes));
+            }
+            Ingest::Thread { tx, reply_tx, .. } => tx
+                .send(Msg::Req(Request {
+                    id,
+                    features,
+                    submitted,
+                    reply: reply_tx.clone(),
+                }))
+                .expect("TreeServer ingest queue closed while submitting"),
+        }
         id
     }
 
@@ -249,35 +560,80 @@ impl ServerHandle {
     /// Block until every outstanding request is answered; returns the
     /// responses **sorted by id** (deterministic regardless of batching).
     ///
-    /// On a virtual-clock server there is no deadline flush, so a partial
-    /// batch would otherwise wait forever: collecting first sends an
-    /// explicit flush marker (a no-op when nothing is open). The real
-    /// clock path is untouched — the deadline does the closing there.
+    /// On a virtual-clock server there is no deadline, so collecting
+    /// closes the open batch itself — the one every handle of the server
+    /// shares — and then takes this handle's answers, which are already
+    /// delivered. On the real clock the deadline does the closing and
+    /// this waits for the answers to arrive.
     pub fn collect(&mut self) -> Vec<Response> {
-        if self.clock.is_virtual() && self.outstanding > 0 {
-            self.tx
-                .send(Msg::Flush)
-                .expect("TreeServer ingest queue closed while flushing");
+        if self.outstanding == 0 {
+            return Vec::new();
         }
-        let mut out = Vec::with_capacity(self.outstanding);
-        for _ in 0..self.outstanding {
-            out.push(
-                self.reply_rx
-                    .recv()
-                    .expect("TreeServer dropped with requests in flight"),
-            );
-        }
+        let mut out = match &self.ingest {
+            Ingest::Inline { shared, inbox } => {
+                let mut state = shared
+                    .lock()
+                    .expect("TreeServer state poisoned by a panicked flush");
+                let Inline { batcher, inboxes } = &mut *state;
+                if let Some(batcher) = batcher {
+                    batcher.flush(deliver_to(inboxes));
+                }
+                let answers = inboxes[*inbox]
+                    .as_mut()
+                    .expect("a live handle's inbox is open");
+                // Keep a buffer of this wave's size for the next one.
+                let next = Vec::with_capacity(answers.len());
+                std::mem::replace(answers, next)
+            }
+            Ingest::Thread { reply_rx, .. } => (0..self.outstanding)
+                .map(|_| {
+                    reply_rx
+                        .recv()
+                        .expect("TreeServer dropped with requests in flight")
+                })
+                .collect(),
+        };
+        assert_eq!(
+            out.len(),
+            self.outstanding,
+            "collect: the server answered {} of {} outstanding requests",
+            out.len(),
+            self.outstanding
+        );
         self.outstanding = 0;
         out.sort_by_key(|r| r.id);
         out
     }
 }
 
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        // Answers owed to a dropped handle count as delivery failures,
+        // as a dropped reply channel does on the real clock. A poisoned
+        // lock is left alone: drop must not panic.
+        if let Ingest::Inline { shared, inbox } = &self.ingest {
+            if let Ok(mut state) = shared.lock() {
+                state.inboxes[*inbox] = None;
+            }
+        }
+    }
+}
+
+/// How a server runs its batcher: chosen by the clock kind.
+enum Driver {
+    /// Virtual clock: no thread; handles drive the batcher inline.
+    Inline(Arc<Mutex<Inline>>),
+    /// Real clock: a batcher thread behind an MPSC queue.
+    Thread {
+        tx: Sender<Msg>,
+        thread: JoinHandle<EngineLog>,
+    },
+}
+
 /// The serving engine: spawn with [`TreeServer::start`], mint client
 /// handles with [`TreeServer::handle`], stop with [`TreeServer::shutdown`].
 pub struct TreeServer {
-    tx: Sender<Msg>,
-    thread: Option<JoinHandle<EngineLog>>,
+    driver: Driver,
     registry: Arc<ModelRegistry>,
     clock: Arc<Clock>,
     telemetry: Option<Arc<ShardTelemetry>>,
@@ -290,8 +646,9 @@ impl TreeServer {
     }
 
     /// [`TreeServer::start`] on an explicit [`Clock`]. A virtual clock
-    /// switches batching from size-or-deadline to size-or-explicit-flush
-    /// (see [`ServerHandle::collect`]) and makes every latency figure a
+    /// starts no thread: its handles drive the batcher inline, batches
+    /// close on size or an explicit collect (see
+    /// [`ServerHandle::collect`]), and every latency figure is a
     /// deterministic virtual-time span.
     pub fn start_clocked(
         registry: Arc<ModelRegistry>,
@@ -300,17 +657,26 @@ impl TreeServer {
     ) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         assert!(cfg.stripe_rows >= 1, "stripe_rows must be at least 1");
-        let (tx, rx) = channel();
-        let reg = Arc::clone(&registry);
-        let batcher_clock = Arc::clone(&clock);
         let telemetry = cfg.telemetry.clone();
-        let thread = std::thread::Builder::new()
-            .name("metis-serve-batcher".into())
-            .spawn(move || batcher_loop(rx, reg, cfg, batcher_clock))
-            .expect("spawn serve batcher");
+        let (reg, batcher_clock) = (Arc::clone(&registry), Arc::clone(&clock));
+        // Virtual time has no deadline to wait out, so nothing needs a
+        // thread of its own: the caller drives the batcher directly.
+        let driver = if clock.is_virtual() {
+            Driver::Inline(Arc::new(Mutex::new(Inline {
+                batcher: Some(Batcher::new(reg, cfg, batcher_clock)),
+                inboxes: Vec::new(),
+            })))
+        } else {
+            let (tx, rx) = channel();
+            let batcher = Batcher::new(reg, cfg, batcher_clock);
+            let thread = std::thread::Builder::new()
+                .name("metis-serve-batcher".into())
+                .spawn(move || batcher_loop(rx, batcher))
+                .expect("spawn serve batcher");
+            Driver::Thread { tx, thread }
+        };
         TreeServer {
-            tx,
-            thread: Some(thread),
+            driver,
             registry,
             clock,
             telemetry,
@@ -329,11 +695,28 @@ impl TreeServer {
 
     /// Mint an independent client handle.
     pub fn handle(&self) -> ServerHandle {
-        let (reply_tx, reply_rx) = channel();
+        let ingest = match &self.driver {
+            Driver::Inline(shared) => {
+                let mut state = shared
+                    .lock()
+                    .expect("TreeServer state poisoned by a panicked flush");
+                state.inboxes.push(Some(Vec::new()));
+                Ingest::Inline {
+                    shared: Arc::clone(shared),
+                    inbox: state.inboxes.len() - 1,
+                }
+            }
+            Driver::Thread { tx, .. } => {
+                let (reply_tx, reply_rx) = channel();
+                Ingest::Thread {
+                    tx: tx.clone(),
+                    reply_tx,
+                    reply_rx,
+                }
+            }
+        };
         ServerHandle {
-            tx: self.tx.clone(),
-            reply_tx,
-            reply_rx,
+            ingest,
             next_id: 0,
             outstanding: 0,
             n_features: self.registry.n_features(),
@@ -342,310 +725,95 @@ impl TreeServer {
         }
     }
 
-    /// Stop the engine: already-queued requests are drained and answered
-    /// (zero drops for clients that finished submitting), then the batcher
-    /// exits and its lifetime report is returned.
-    pub fn shutdown(mut self) -> EngineReport {
-        let _ = self.tx.send(Msg::Shutdown);
-        let log = self
-            .thread
-            .take()
-            .expect("shutdown called once")
-            .join()
-            .expect("serve batcher panicked");
-        let batches = log.batches.max(1);
-        EngineReport {
-            served: log.served,
-            batches: log.batches,
-            delivery_failures: log.delivery_failures,
-            max_batch_seen: log.max_batch_seen,
-            mean_batch: log.served as f64 / batches as f64,
-            latency: log.latency.summary(),
-            recorder: log.latency,
-            per_epoch: log.per_epoch.into_iter().collect(),
-            per_width: log
-                .per_width
-                .into_iter()
-                .map(|(w, rec)| (w, rec.summary()))
-                .collect(),
-        }
+    /// Stop the engine: every submitted request is answered (zero drops
+    /// for clients that finished submitting), then its lifetime report
+    /// is returned. A virtual-clock server flushes its open batch; a
+    /// real-clock server drains its queue and joins the batcher thread.
+    pub fn shutdown(self) -> EngineReport {
+        let log = match self.driver {
+            Driver::Inline(shared) => {
+                let mut state = shared
+                    .lock()
+                    .expect("TreeServer state poisoned by a panicked flush");
+                let Inline { batcher, inboxes } = &mut *state;
+                batcher
+                    .take()
+                    .expect("shutdown takes the batcher once")
+                    .close(deliver_to(inboxes))
+            }
+            Driver::Thread { tx, thread } => {
+                let _ = tx.send(Msg::Shutdown);
+                thread.join().expect("serve batcher panicked")
+            }
+        };
+        log.into_report()
     }
 }
 
-fn batcher_loop(
-    rx: Receiver<Msg>,
-    registry: Arc<ModelRegistry>,
-    cfg: ServeConfig,
-    clock: Arc<Clock>,
-) -> EngineLog {
-    // Pool submissions carry this server's group (its own fresh one by
-    // default), so the pool's scheduler treats the serving path as one
-    // tenant — or as part of a shared tenant when the config says so.
-    let group = cfg.group.unwrap_or_else(metis_nn::par::fresh_group);
-    // Virtual time has no wall deadline: batches close on size, an
-    // explicit flush marker, or shutdown — nothing else, so batch
-    // composition is deterministic in submission order.
-    let use_deadline = !clock.is_virtual();
-    let scope = cfg.telemetry.clone();
-    let scope = scope.as_deref();
-    let mut log = EngineLog::default();
-    let mut scratch = FlushScratch::default();
-    loop {
-        // Open a batch at the first request (block indefinitely — an idle
-        // server costs nothing).
-        let first = match rx.recv() {
-            Ok(Msg::Req(r)) => r,
-            // A flush with no open batch: nothing to do.
-            Ok(Msg::Flush) => continue,
+/// The real-clock driver: block for the request that opens a batch, offer
+/// every request that arrives before the batch fills or `max_delay` has
+/// passed since it opened, then flush.
+fn batcher_loop(rx: Receiver<Msg>, mut batcher: Batcher<Sender<Response>>) -> EngineLog {
+    // Each request's feature `Vec` lives in `held` until its batch is
+    // answered. Freeing it on this thread as soon as its row is copied,
+    // while the submitting thread allocates the next one, contends in the
+    // allocator: it cost ~10% of burst capacity on a 2-core host.
+    let mut held: Vec<Vec<f64>> = Vec::new();
+    let offer = |batcher: &mut Batcher<Sender<Response>>, held: &mut Vec<Vec<f64>>, r: Request| {
+        batcher.offer(r.id, &r.features, r.submitted, r.reply, send_reply);
+        held.push(r.features);
+    };
+    let max_delay = batcher.cfg.max_delay;
+    'serve: loop {
+        // Block indefinitely for the first request — an idle server costs
+        // nothing.
+        match rx.recv() {
+            Ok(Msg::Req(r)) => offer(&mut batcher, &mut held, r),
             // Shutdown can land exactly on a batch boundary: break into
             // the drain below rather than exiting — requests queued
             // behind the marker must still be answered.
             Ok(Msg::Shutdown) | Err(_) => break,
-        };
-        if let Some(scope) = scope {
-            scope.on_batch_open();
         }
-        // Wall stamp of the batch opening, for the batch-form span. Only
-        // read under a real clock — virtual stamps derive from the
-        // batch's submit stamps inside `flush`, never from a live read.
-        let wall_open_s = (scope.is_some() && use_deadline).then(|| clock.now_s());
-        let mut batch = vec![first];
-        let deadline = use_deadline.then(|| Instant::now() + cfg.max_delay);
-        let mut shutting_down = false;
-        while batch.len() < cfg.max_batch {
-            let msg = if let Some(deadline) = deadline {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(msg) => msg,
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        shutting_down = true;
-                        break;
-                    }
-                }
-            } else {
-                match rx.recv() {
-                    Ok(msg) => msg,
-                    Err(_) => {
-                        shutting_down = true;
-                        break;
-                    }
-                }
-            };
-            match msg {
-                Msg::Req(r) => batch.push(r),
-                Msg::Flush => break,
-                Msg::Shutdown => {
-                    shutting_down = true;
-                    break;
+        let deadline = Instant::now() + max_delay;
+        // A batch that fills closes inside `offer`, ending this loop.
+        while batcher.is_open() {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            match rx.recv_timeout(deadline - now) {
+                Ok(Msg::Req(r)) => offer(&mut batcher, &mut held, r),
+                Err(RecvTimeoutError::Timeout) => break,
+                Ok(Msg::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
+                    batcher.flush(send_reply);
+                    break 'serve;
                 }
             }
         }
-        if let Some(scope) = scope {
-            // One balance update per batch, not one RMW per request —
-            // the gauge is monitoring-only, never digested.
-            scope.queue_depth.add(-(batch.len() as i64));
-        }
-        flush(
-            &mut log,
-            &mut scratch,
-            &registry,
-            &cfg,
-            group,
-            &clock,
-            batch,
-            wall_open_s,
-        );
-        if shutting_down {
-            break;
-        }
+        batcher.flush(send_reply);
+        held.clear();
     }
     // Shutdown drain: answer everything still queued so no
     // already-submitted request is dropped, whichever path saw the
     // marker. Extra shutdown markers mid-queue (a fabric broadcasting
     // shutdown to shards, or two owners racing) must not truncate the
     // drain: skip markers, keep draining until the queue is empty.
-    let mut rest: Vec<Request> = Vec::new();
-    loop {
-        match rx.try_recv() {
-            Ok(Msg::Req(r)) => rest.push(r),
-            Ok(Msg::Flush) | Ok(Msg::Shutdown) => continue,
-            Err(_) => break,
+    let rest: Vec<Request> = rx
+        .try_iter()
+        .filter_map(|msg| match msg {
+            Msg::Req(r) => Some(r),
+            Msg::Shutdown => None,
+        })
+        .collect();
+    if !rest.is_empty() {
+        if let Some(scope) = batcher.cfg.telemetry.as_deref() {
+            scope.on_drain(batcher.clock.now_s(), rest.len());
+        }
+        for r in rest {
+            offer(&mut batcher, &mut held, r);
         }
     }
-    if let Some(scope) = scope {
-        scope.queue_depth.add(-(rest.len() as i64));
-        if !rest.is_empty() {
-            // Virtual stamp: the latest drained submit stamp (schedule-
-            // pure); real stamp: the wall drain time.
-            let stamp_s = if clock.is_virtual() {
-                rest.iter().map(|r| r.submitted).fold(0.0, f64::max)
-            } else {
-                clock.now_s()
-            };
-            scope.on_drain(stamp_s, rest.len());
-        }
-    }
-    let mut rest = rest.into_iter().peekable();
-    while rest.peek().is_some() {
-        let chunk: Vec<Request> = rest.by_ref().take(cfg.max_batch).collect();
-        let wall_open_s = (scope.is_some() && use_deadline).then(|| clock.now_s());
-        if let Some(scope) = scope {
-            scope.on_batch_open();
-        }
-        flush(
-            &mut log,
-            &mut scratch,
-            &registry,
-            &cfg,
-            group,
-            &clock,
-            chunk,
-            wall_open_s,
-        );
-    }
-    log
-}
-
-#[allow(clippy::too_many_arguments)]
-fn flush(
-    log: &mut EngineLog,
-    scratch: &mut FlushScratch,
-    registry: &ModelRegistry,
-    cfg: &ServeConfig,
-    group: u64,
-    clock: &Clock,
-    batch: Vec<Request>,
-    // Wall stamp of the batch opening (real clock + telemetry only).
-    wall_open_s: Option<f64>,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    // Virtual-clock latency must not read the clock here: concurrent
-    // drivers may have pushed the high-water mark past this batch's
-    // events, and a racy read would leak host scheduling into the
-    // report. The batch closes at its **latest submit stamp** — a pure
-    // function of the event schedule — so latency_i = close - stamp_i,
-    // the virtual batching delay. The real clock keeps the historical
-    // wall measurement (now - stamp) per request.
-    let virtual_close_s = clock
-        .is_virtual()
-        .then(|| batch.iter().map(|r| r.submitted).fold(0.0, f64::max));
-    // Telemetry stamps follow the same discipline: under a virtual clock
-    // the batch "opens" at its earliest submit stamp and the kernel/close
-    // stamps collapse onto the batch close — all pure functions of the
-    // schedule, so the span stream digests identically for any thread
-    // count. Under a real clock they are wall reads around the work.
-    let scope = cfg.telemetry.as_deref();
-    let open_s = scope.map(|_| match virtual_close_s {
-        Some(_) => batch
-            .iter()
-            .map(|r| r.submitted)
-            .fold(f64::INFINITY, f64::min),
-        None => wall_open_s.unwrap_or_else(|| clock.now_s()),
-    });
-    // Pin the epoch for the whole batch: in-flight work finishes on the
-    // model it started with even if a publish lands mid-execution.
-    let epoch_model = registry.current();
-    let model = &epoch_model.model;
-    let n_features = model.n_features();
-    let n = batch.len();
-    scratch.rows.clear();
-    scratch.rows.reserve(n * n_features);
-    for req in &batch {
-        // Unreachable for well-typed use: submit() validates width and
-        // publish() keeps it invariant across epochs.
-        debug_assert_eq!(req.features.len(), n_features);
-        scratch.rows.extend_from_slice(&req.features);
-    }
-    let chunks = n.div_ceil(cfg.stripe_rows);
-    let kernel_start_s = scope.map(|_| virtual_close_s.unwrap_or_else(|| clock.now_s()));
-    scratch.predictions.clear();
-    if chunks <= 1 {
-        // The steady-state micro-batch path: evaluate straight into the
-        // reused scratch buffer — no allocation per flush.
-        scratch.predictions.resize(n, Prediction::Class(0));
-        model.predict_batch_into(&scratch.rows, &mut scratch.predictions);
-    } else {
-        // Contiguous row chunks across the pool, merged in chunk order —
-        // identical to the single-chunk walk for any thread count. The
-        // deadline class steers which tenant's chunks the pool's helpers
-        // pick up first under contention; it never touches results.
-        let rows = &scratch.rows;
-        let chunked = metis_nn::par::with_deadline_class(cfg.deadline_class, || {
-            metis_nn::par::with_group(group, || {
-                metis_nn::par::parallel_map_indexed(chunks, cfg.threads, |c| {
-                    let lo = c * cfg.stripe_rows;
-                    let hi = ((c + 1) * cfg.stripe_rows).min(n);
-                    model.predict_batch(&rows[lo * n_features..hi * n_features])
-                })
-            })
-        });
-        for chunk in chunked {
-            scratch.predictions.extend_from_slice(&chunk);
-        }
-    }
-    let kernel_end_s = scope.map(|_| virtual_close_s.unwrap_or_else(|| clock.now_s()));
-    log.batches += 1;
-    log.max_batch_seen = log.max_batch_seen.max(n);
-    *log.per_epoch.entry(epoch_model.epoch).or_insert(0) += n as u64;
-    // Accounting pass: stamp every request and stage its latency (and,
-    // with telemetry on, queue-wait) before anything is delivered.
-    let width_latency = log.per_width.entry(model.n_trees()).or_default();
-    scratch.latencies.clear();
-    scratch.queue_waits.clear();
-    for req in &batch {
-        let completed_s = virtual_close_s.unwrap_or_else(|| clock.now_s());
-        let latency_s = log.latency.record_span(req.submitted, completed_s);
-        width_latency.record(latency_s);
-        log.served += 1;
-        scratch.latencies.push(latency_s);
-        if scope.is_some() {
-            // Queue-wait = submit → kernel start: everything before the
-            // model ran (ingest wait + batch formation).
-            scratch
-                .queue_waits
-                .push((kernel_start_s.unwrap_or(completed_s) - req.submitted).max(0.0));
-        }
-    }
-    // Record ALL the batch's telemetry (spans, flush event, served
-    // counters, request sketches) BEFORE delivering any response: a
-    // driver that has drained a wave must observe a quiescent scope,
-    // otherwise the digest races the tail of the flush and drifts
-    // across thread counts.
-    if let Some(scope) = scope {
-        let close_s = virtual_close_s.unwrap_or_else(|| clock.now_s());
-        scope.record_flush(&FlushStamps {
-            open_s: open_s.unwrap_or(close_s),
-            kernel_start_s: kernel_start_s.unwrap_or(close_s),
-            kernel_end_s: kernel_end_s.unwrap_or(close_s),
-            close_s,
-            rows: n,
-            epoch: epoch_model.epoch,
-            width: model.n_trees(),
-        });
-        scope.on_requests(close_s, &scratch.latencies, &scratch.queue_waits);
-    }
-    for ((req, &prediction), &latency_s) in batch
-        .into_iter()
-        .zip(scratch.predictions.iter())
-        .zip(scratch.latencies.iter())
-    {
-        let sent = req.reply.send(Response {
-            id: req.id,
-            prediction,
-            epoch: epoch_model.epoch,
-            latency_s,
-            batch_size: n,
-        });
-        if sent.is_err() {
-            log.delivery_failures += 1;
-        }
-    }
+    batcher.close(send_reply)
 }
 
 #[cfg(test)]
@@ -744,6 +912,10 @@ mod tests {
             },
             Arc::clone(&clock),
         );
+        assert!(
+            matches!(server.driver, Driver::Inline(_)),
+            "a virtual-clock server starts no batcher thread"
+        );
         let mut handle = server.handle();
         for k in 0..5u64 {
             handle.submit(req_features(k)); // stamped 0.0
@@ -764,6 +936,140 @@ mod tests {
         assert_eq!(report.batches, 1);
         assert_eq!(report.served, 9);
         assert_eq!(report.latency.max_s, 2.5);
+    }
+
+    fn virtual_server(tree: DecisionTree, max_batch: usize, clock: &Arc<Clock>) -> TreeServer {
+        TreeServer::start_clocked(
+            Arc::new(ModelRegistry::new(tree)),
+            ServeConfig {
+                max_batch,
+                max_delay: Duration::from_secs(10), // never consulted
+                ..Default::default()
+            },
+            Arc::clone(clock),
+        )
+    }
+
+    /// Inline on a virtual clock, the submit that fills `max_batch`
+    /// flushes that batch before it returns; the remainder waits for the
+    /// collect. Each batch closes at its own latest submit stamp.
+    #[test]
+    fn inline_submit_flushes_a_full_batch_and_collect_closes_the_rest() {
+        let tree = staircase_tree(4);
+        let clock = Clock::virtual_at(0.0);
+        let server = virtual_server(tree.clone(), 4, &clock);
+        let mut handle = server.handle();
+        // Batch 1: stamps 0.0, 0.5, 1.0, 1.5 — full, closes at 1.5.
+        for k in 0..4u64 {
+            clock.advance_to(k as f64 * 0.5);
+            handle.submit(req_features(k));
+        }
+        {
+            let Ingest::Inline { shared, inbox } = &handle.ingest else {
+                panic!("virtual clock drives the batcher inline");
+            };
+            let state = shared.lock().unwrap();
+            assert_eq!(
+                state.inboxes[*inbox].as_ref().unwrap().len(),
+                4,
+                "the filling submit delivered the batch"
+            );
+            assert!(!state.batcher.as_ref().unwrap().is_open());
+        }
+        // Batch 2: stamps 2.0, 3.0, 3.0 — closed by the collect at 3.0.
+        for (k, t) in [(4u64, 2.0), (5, 3.0), (6, 3.0)] {
+            clock.advance_to(t);
+            handle.submit(req_features(k));
+        }
+        let responses = handle.collect();
+        let sizes: Vec<usize> = responses.iter().map(|r| r.batch_size).collect();
+        assert_eq!(sizes, vec![4, 4, 4, 4, 3, 3, 3]);
+        let latencies: Vec<f64> = responses.iter().map(|r| r.latency_s).collect();
+        assert_eq!(latencies, vec![1.5, 1.0, 0.5, 0.0, 1.0, 0.0, 0.0]);
+        for resp in &responses {
+            assert_eq!(resp.prediction, tree.predict(&req_features(resp.id)));
+        }
+        let report = server.shutdown();
+        assert_eq!(report.batches, 2);
+        assert_eq!(report.max_batch_seen, 4);
+        assert_eq!(report.served, 7);
+    }
+
+    /// Two handles share one open batch: the first collect closes it for
+    /// both, and the second collect finds its answers already delivered
+    /// without flushing again.
+    #[test]
+    fn one_collect_closes_the_batch_every_handle_shares() {
+        let tree = staircase_tree(4);
+        let clock = Clock::virtual_at(0.0);
+        let server = virtual_server(tree.clone(), 64, &clock);
+        let (mut a, mut b) = (server.handle(), server.handle());
+        for k in 0..5u64 {
+            if k % 2 == 0 {
+                b.submit(req_features(k));
+            } else {
+                a.submit(req_features(k));
+            }
+        }
+        let from_a = a.collect();
+        assert_eq!(from_a.len(), 2);
+        assert!(from_a.iter().all(|r| r.batch_size == 5));
+        let from_b = b.collect();
+        assert_eq!(from_b.len(), 3);
+        assert!(from_b.iter().all(|r| r.batch_size == 5));
+        let ids: Vec<u64> = from_b.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![0, 1, 2], "per-handle ids, sorted");
+        for (resp, k) in from_b.iter().zip([0u64, 2, 4]) {
+            assert_eq!(resp.prediction, tree.predict(&req_features(k)));
+        }
+        drop((a, b));
+        let report = server.shutdown();
+        assert_eq!(report.batches, 1, "b's collect must not flush again");
+        assert_eq!(report.served, 5);
+    }
+
+    /// Shutdown answers every request submitted inline, collected or not;
+    /// the handle can still collect them afterwards.
+    #[test]
+    fn inline_shutdown_answers_uncollected_requests() {
+        let tree = staircase_tree(4);
+        let clock = Clock::virtual_at(0.0);
+        let server = virtual_server(tree.clone(), 4, &clock);
+        let mut handle = server.handle();
+        for k in 0..10u64 {
+            handle.submit(req_features(k));
+        }
+        let report = server.shutdown();
+        assert_eq!(report.served, 10);
+        assert_eq!(
+            report.batches, 3,
+            "two full batches inline, one at shutdown"
+        );
+        assert_eq!(report.delivery_failures, 0);
+        let responses = handle.collect();
+        assert_eq!(responses.len(), 10);
+        for resp in &responses {
+            assert_eq!(resp.prediction, tree.predict(&req_features(resp.id)));
+        }
+    }
+
+    /// An inline handle dropped with requests in the open batch: its
+    /// answers count as delivery failures, as a dropped reply channel's
+    /// do on the real clock.
+    #[test]
+    fn dropped_inline_handle_counts_delivery_failures() {
+        let clock = Clock::virtual_at(0.0);
+        let server = virtual_server(staircase_tree(4), 64, &clock);
+        let mut kept = server.handle();
+        let mut dropped = server.handle();
+        kept.submit(req_features(0));
+        dropped.submit(req_features(1));
+        dropped.submit(req_features(2));
+        drop(dropped);
+        assert_eq!(kept.collect().len(), 1);
+        let report = server.shutdown();
+        assert_eq!(report.served, 3);
+        assert_eq!(report.delivery_failures, 2);
     }
 
     /// Virtual-clock telemetry stamps are pure functions of the submit
@@ -1095,8 +1401,7 @@ mod tests {
             }
         }
         drop(tx);
-        let log = batcher_loop(
-            rx,
+        let batcher = Batcher::new(
             registry,
             ServeConfig {
                 max_batch: 8,
@@ -1105,6 +1410,7 @@ mod tests {
             },
             Clock::real(),
         );
+        let log = batcher_loop(rx, batcher);
         assert_eq!(log.served, 30, "requests behind a marker were dropped");
         let mut ids: Vec<u64> = (0..30).map(|_| reply_rx.recv().unwrap().id).collect();
         ids.sort_unstable();

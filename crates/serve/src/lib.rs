@@ -19,8 +19,10 @@
 //!   block; the §3.2 conversion pipeline publishes each newly fitted
 //!   model mid-traffic, and in-flight batches finish on the epoch they
 //!   started with,
-//! * [`engine`] — the request engine: an MPSC ingest queue feeding a
-//!   micro-batcher (flush on batch size *or* deadline) whose batches run
+//! * [`engine`] — the request engine: one micro-batcher state machine
+//!   (flush on batch size, or on the deadline under a real clock), run by
+//!   a thread behind an MPSC queue on the real clock and inline in the
+//!   submitting thread on a virtual one; its batches run
 //!   the epoch's served model through the lane-vectorized kernel
 //!   ([`ServedModel::predict_batch_into`], into a flush-reused scratch
 //!   buffer) and fan across [`metis_nn::par::WorkerPool::global`] stripe

@@ -182,8 +182,8 @@ pub fn drive_open_loop_paced(
 ///
 /// On a [`clock::Clock::virtual_at`] server (the mode the fabric determinism
 /// suites run in CI) nothing sleeps — each gap advances virtual time, a
-/// run takes compute time instead of schedule time, and every batch
-/// closes on the collect's explicit flush, deterministically placed by
+/// run takes compute time instead of schedule time, and every partial batch
+/// closes on the collect, deterministically placed by
 /// the schedule rather than by wall-clock raciness. On a real-clock
 /// server the same drains quiesce the ingest queue and the wall deadline
 /// closes each partial batch, as before this function grew a clock.

@@ -377,15 +377,23 @@ pub fn run_abr_cosim_observed(
             // Submit as we pop: the pop advanced the virtual clock to
             // this event's time, so the fabric stamps the request at its
             // own schedule time — the wave's closing flush then carries a
-            // deterministic in-wave latency spread instead of zeros.
-            handle.submit(scen_idx, s as u64, states[s as usize].obs.clone());
+            // deterministic in-wave latency spread instead of zeros. The
+            // observation moves into the request: `step.obs` replaces it
+            // before this session's next Decide, and a finished session
+            // never submits again.
+            let obs = std::mem::take(&mut states[s as usize].obs);
+            handle.submit(scen_idx, s as u64, obs);
             wave.push((s, entry.time_s));
         }
         let responses = handle.collect(); // sorted by global id == wave order
         waves += 1;
-        debug_assert_eq!(responses.len(), wave.len());
+        assert_eq!(
+            responses.len(),
+            wave.len(),
+            "fabric answered a partial wave"
+        );
         for (resp, &(s, t)) in responses.iter().zip(&wave) {
-            debug_assert_eq!(resp.session, s as u64);
+            assert_eq!(resp.session, s as u64, "fabric answers out of wave order");
             let action = resp.response.prediction.class().min(n_actions - 1);
             let state = &mut states[s as usize];
             let (step, d) = state.env.step_detailed(action);
