@@ -35,7 +35,8 @@ impl Targets {
 /// A weighted supervised dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
-    /// Row-major feature rows; all rows must share the same length.
+    /// Row-major feature rows; all rows must share the same length, and
+    /// no value may be NaN.
     pub x: Vec<Vec<f64>>,
     pub y: Targets,
     /// Per-sample weights (all 1.0 if unweighted).
@@ -50,6 +51,9 @@ pub enum DatasetError {
     LengthMismatch,
     BadLabel,
     NonPositiveWeight,
+    /// A feature value is NaN: CART's presorted split search needs the
+    /// feature values totally ordered.
+    NanFeature,
 }
 
 impl std::fmt::Display for DatasetError {
@@ -60,11 +64,24 @@ impl std::fmt::Display for DatasetError {
             DatasetError::LengthMismatch => write!(f, "x, y, w lengths differ"),
             DatasetError::BadLabel => write!(f, "class label out of range"),
             DatasetError::NonPositiveWeight => write!(f, "sample weight must be > 0"),
+            DatasetError::NanFeature => write!(f, "feature value is NaN"),
         }
     }
 }
 
 impl std::error::Error for DatasetError {}
+
+/// Reject ragged rows and NaN feature values.
+fn check_rows(x: &[Vec<f64>]) -> Result<(), DatasetError> {
+    let d = x[0].len();
+    if x.iter().any(|r| r.len() != d) {
+        return Err(DatasetError::RaggedRows);
+    }
+    if x.iter().flatten().any(|v| v.is_nan()) {
+        return Err(DatasetError::NanFeature);
+    }
+    Ok(())
+}
 
 impl Dataset {
     /// Build a classification dataset with unit weights.
@@ -88,10 +105,7 @@ impl Dataset {
         if x.is_empty() {
             return Err(DatasetError::Empty);
         }
-        let d = x[0].len();
-        if x.iter().any(|r| r.len() != d) {
-            return Err(DatasetError::RaggedRows);
-        }
+        check_rows(&x)?;
         if labels.len() != x.len() || w.len() != x.len() {
             return Err(DatasetError::LengthMismatch);
         }
@@ -124,10 +138,7 @@ impl Dataset {
         if x.is_empty() {
             return Err(DatasetError::Empty);
         }
-        let d = x[0].len();
-        if x.iter().any(|r| r.len() != d) {
-            return Err(DatasetError::RaggedRows);
-        }
+        check_rows(&x)?;
         if values.len() != x.len() || w.len() != x.len() {
             return Err(DatasetError::LengthMismatch);
         }
@@ -274,6 +285,25 @@ mod tests {
             Dataset::classification_weighted(x, y, 2, vec![1.0, 0.0]).unwrap_err(),
             DatasetError::NonPositiveWeight
         );
+    }
+
+    /// A NaN feature would make the presort comparator cyclic: NaN at
+    /// index 2 compares equal to both 0.0 (index 3) and 1.0 (index 1), so
+    /// the index tie-break orders 1 < 2 < 3 while the values order 3 < 1.
+    #[test]
+    fn rejects_nan_features() {
+        let x = vec![vec![0.5], vec![1.0], vec![f64::NAN], vec![0.0]];
+        assert_eq!(
+            Dataset::classification(x.clone(), vec![0, 1, 0, 1], 2).unwrap_err(),
+            DatasetError::NanFeature
+        );
+        assert_eq!(
+            Dataset::regression(x, vec![0.0; 4]).unwrap_err(),
+            DatasetError::NanFeature
+        );
+        // Infinities are ordered, so they stay valid.
+        let inf = vec![vec![f64::NEG_INFINITY], vec![f64::INFINITY]];
+        assert!(Dataset::classification(inf, vec![0, 1], 2).is_ok());
     }
 
     #[test]
