@@ -165,7 +165,9 @@ pub struct MultiRegressor {
 impl MultiRegressor {
     /// Fit one regression tree per output dimension, output dimensions in
     /// parallel (they are independent; results merge in dimension order,
-    /// so the bundle is identical for any core count).
+    /// so the bundle is identical for any core count). Panics if `x` and
+    /// `y` differ in length, `x`'s rows differ in width, or a feature
+    /// value is NaN.
     pub fn fit(
         x: &[Vec<f64>],
         y: &[Vec<f64>],
@@ -175,7 +177,7 @@ impl MultiRegressor {
         let out_dim = y[0].len();
         let fit_dim = |k: usize| {
             let ds = Dataset::regression(x.to_vec(), y.iter().map(|row| row[k]).collect())
-                .expect("valid regression dataset");
+                .expect("x rows share one width and hold no NaN");
             let cfg = TreeConfig {
                 max_leaf_nodes,
                 criterion: Criterion::Mse,

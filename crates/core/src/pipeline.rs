@@ -331,7 +331,7 @@ fn dataset_from_states(states: &[SampledState], n_actions: usize) -> Dataset {
     let y: Vec<usize> = states.iter().map(|s| s.teacher_action).collect();
     let w: Vec<f64> = states.iter().map(|s| s.weight.max(1e-9)).collect();
     Dataset::classification_weighted(x, y, n_actions, w)
-        .expect("states collected from an env are schema-consistent")
+        .expect("collected observations share one width and hold no NaN")
 }
 
 #[cfg(test)]
