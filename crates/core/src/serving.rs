@@ -517,7 +517,7 @@ mod tests {
             .find(|s| s.scenario() == "runner")
             .expect("runner scope");
         // Both workloads (convert + serve) landed as runner requests.
-        assert_eq!(runner_scope.latency.cumulative().count(), 2);
+        assert_eq!(runner_scope.latency.count(), 2);
         let control = scopes
             .iter()
             .find(|s| {

@@ -123,6 +123,13 @@ pub enum FitError {
     CriterionMismatch,
     /// `max_leaf_nodes` must be at least 1.
     NoLeavesAllowed,
+    /// Feature `feature` of row `row` is NaN. The `Dataset` constructors
+    /// reject this, but a dataset built field by field or deserialized
+    /// skips them, and NaN has no place in the split order.
+    NanFeature { row: usize, feature: usize },
+    /// Row `row` has a different number of features than row 0 (the
+    /// same two paths can hold ragged rows).
+    RaggedRow { row: usize },
 }
 
 impl std::fmt::Display for FitError {
@@ -130,6 +137,12 @@ impl std::fmt::Display for FitError {
         match self {
             FitError::CriterionMismatch => write!(f, "criterion does not match target type"),
             FitError::NoLeavesAllowed => write!(f, "max_leaf_nodes must be >= 1"),
+            FitError::NanFeature { row, feature } => {
+                write!(f, "feature {feature} of row {row} is NaN")
+            }
+            FitError::RaggedRow { row } => {
+                write!(f, "row {row} has a different feature count than row 0")
+            }
         }
     }
 }
@@ -598,23 +611,29 @@ fn search<S: Sweep>(
 }
 
 /// Copy the features into columns, bit for bit (`cols[f][i] = x[i][f]`).
-/// Panics on ragged rows, which a `Dataset` built field by field can hold.
-fn columns(ds: &Dataset) -> Vec<Vec<f64>> {
+/// Fails on a ragged row or a NaN value, which a `Dataset` built field by
+/// field or deserialized can hold.
+fn columns(ds: &Dataset) -> Result<Vec<Vec<f64>>, FitError> {
     let mut cols: Vec<Vec<f64>> = (0..ds.n_features())
         .map(|_| Vec::with_capacity(ds.len()))
         .collect();
-    for row in &ds.x {
-        assert_eq!(row.len(), cols.len(), "feature rows differ in length");
-        for (col, &v) in cols.iter_mut().zip(row) {
+    for (i, row) in ds.x.iter().enumerate() {
+        if row.len() != cols.len() {
+            return Err(FitError::RaggedRow { row: i });
+        }
+        for (f, (col, &v)) in cols.iter_mut().zip(row).enumerate() {
+            if v.is_nan() {
+                return Err(FitError::NanFeature { row: i, feature: f });
+            }
             col.push(v);
         }
     }
-    cols
+    Ok(cols)
 }
 
 /// Build the root's per-feature sorted index lists (ties broken by index,
-/// so the order is fully deterministic; a total order because datasets
-/// reject NaN features).
+/// so the order is fully deterministic; a total order because `columns`
+/// rejects NaN features).
 fn presort(cols: &[Vec<f64>]) -> Vec<Vec<u32>> {
     cols.iter()
         .map(|col| {
@@ -667,7 +686,7 @@ pub fn fit(ds: &Dataset, config: &TreeConfig) -> Result<DecisionTree, FitError> 
     let threads = resolve_threads(config.threads);
     let ctx = Ctx {
         ds,
-        cols: columns(ds),
+        cols: columns(ds)?,
         config,
         threads,
     };
@@ -1033,11 +1052,42 @@ mod tests {
     /// A ragged dataset built field by field (the constructors reject it)
     /// must fail loudly, not shift a short row's successors in the columns.
     #[test]
-    #[should_panic(expected = "feature rows differ in length")]
-    fn ragged_rows_panic() {
+    fn ragged_rows_are_a_fit_error() {
         let mut ds = axis_ds();
         ds.x[2].pop();
-        let _ = fit(&ds, &TreeConfig::default());
+        assert_eq!(
+            fit(&ds, &TreeConfig::default()).unwrap_err(),
+            FitError::RaggedRow { row: 2 }
+        );
+    }
+
+    /// A NaN feature in a struct-literal dataset (the constructors reject
+    /// it) is a typed error naming the value, not a silently wrong tree.
+    #[test]
+    fn nan_feature_in_a_struct_literal_is_a_fit_error() {
+        let ds = Dataset {
+            x: vec![vec![0.0, 1.0], vec![0.5, f64::NAN], vec![1.0, 2.0]],
+            ..axis_ds()
+        };
+        assert_eq!(
+            fit(&ds, &TreeConfig::default()).unwrap_err(),
+            FitError::NanFeature { row: 1, feature: 1 }
+        );
+    }
+
+    /// The same through `serde_json`: JSON `null` loads as a NaN feature,
+    /// and `fit` rejects the loaded dataset.
+    #[test]
+    fn nan_feature_loaded_from_json_is_a_fit_error() {
+        let json = serde_json::to_string(&axis_ds())
+            .unwrap()
+            .replacen("0.4", "null", 1);
+        let ds: Dataset = serde_json::from_str(&json).unwrap();
+        assert!(ds.x[2][0].is_nan(), "null loads as NaN");
+        assert_eq!(
+            fit(&ds, &TreeConfig::default()).unwrap_err(),
+            FitError::NanFeature { row: 2, feature: 0 }
+        );
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! Merged fabric accounting: per-shard engine reports rolled up into
-//! per-scenario and per-tenant views, with SLO budgets checked.
+//! per-scenario, per-tenant and fabric-wide views, with SLO budgets
+//! checked.
 //!
-//! Two merge flavours, deliberately both exercised: scenario and tenant
-//! percentiles are **exact** — the shards' raw
-//! [`metis_serve::LatencyRecorder`]s are unioned before summarizing, and
-//! every SLO decision reads these — while the fabric-wide line uses
-//! [`metis_serve::LatencySummary::merge`], a display rollup whose
-//! percentiles take the larger input (accurate for well-sampled inputs,
-//! but able to understate the union tail when inputs are tiny; see its
-//! docs). Nothing is enforced off the rollup.
+//! One merge rule covers all three: the shards' latency sketches
+//! ([`metis_serve::EngineReport::sketch`]) are added bucket-wise, which
+//! is exact on the sketch, and the union is read with
+//! [`LatencySummary::from_sketch`]. Counts are exact and every
+//! percentile bounds the exact one from above within `γ = 2^(1/8)`, so a
+//! tenant that meets its p99 budget here meets it exactly too.
 
+use crate::router::TenantSpec;
 use crate::shadow::ShadowReport;
 use metis_serve::{EngineReport, LatencySummary};
+use metis_telemetry::SketchSnapshot;
 use serde::{Deserialize, Serialize};
 
-/// One scenario's merged view: its shards' engine reports, the exact
-/// union latency summary, and its shadow audit trail.
+/// One scenario's merged view: its shards' engine reports, the union
+/// latency summary, and its shadow audit trail.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioReport {
     pub key: String,
@@ -30,7 +31,7 @@ pub struct ScenarioReport {
     /// Ensemble width of the model live at shutdown (1 = a single tree,
     /// k = a k-tree majority-vote [`metis_dt::Forest`]).
     pub live_trees: usize,
-    /// Exact percentile summary over the union of all shards' samples.
+    /// Percentile summary over the merge of all shards' sketches.
     pub latency: LatencySummary,
     /// Per-shard engine reports, in shard order.
     pub shards: Vec<EngineReport>,
@@ -48,12 +49,28 @@ pub struct TenantReport {
     pub p99_budget_s: f64,
     /// Requests served for this tenant.
     pub served: u64,
-    /// Exact percentile summary over every request the tenant's
-    /// scenarios served.
+    /// Percentile summary over every request the tenant's scenarios
+    /// served (merged sketches).
     pub latency: LatencySummary,
     /// True when `latency.p99_s` is within `p99_budget_s` (an idle tenant
     /// cannot violate).
     pub met_p99_budget: bool,
+}
+
+impl TenantReport {
+    /// A tenant's SLO view over the merge of its scenarios' shard
+    /// sketches.
+    pub(crate) fn new(spec: TenantSpec, served: u64, sketch: &SketchSnapshot) -> Self {
+        let latency = LatencySummary::from_sketch(sketch);
+        TenantReport {
+            met_p99_budget: served == 0 || latency.meets_p99_slo(spec.p99_budget_s),
+            name: spec.name,
+            deadline_class: spec.deadline_class,
+            p99_budget_s: spec.p99_budget_s,
+            served,
+            latency,
+        }
+    }
 }
 
 /// Everything one fabric run produced, returned by
@@ -62,10 +79,8 @@ pub struct TenantReport {
 pub struct FabricReport {
     /// Requests served across the whole fabric.
     pub served: u64,
-    /// Fabric-wide display rollup via [`LatencySummary::merge`]
-    /// (count/mean/max exact; percentiles take the larger input — not a
-    /// bound for tiny sample sets, so SLO checks use the exact
-    /// per-scenario/per-tenant summaries instead).
+    /// Percentile summary over every request the fabric served (merged
+    /// sketches, the same rule as the per-scenario and per-tenant views).
     pub latency_rollup: LatencySummary,
     /// Per-scenario views, in construction order.
     pub scenarios: Vec<ScenarioReport>,
@@ -98,7 +113,8 @@ impl FabricReport {
 mod tests {
     use super::*;
     use crate::shadow::PromotionRecord;
-    use metis_serve::{summarize, LatencyRecorder};
+    use metis_serve::summarize;
+    use metis_telemetry::LogSketch;
 
     fn tenant(name: &str, class: u8, met: bool) -> TenantReport {
         TenantReport {
@@ -111,11 +127,29 @@ mod tests {
         }
     }
 
+    /// One shard's report over a sketch holding in-range, underflow,
+    /// overflow and NaN samples.
+    fn shard() -> EngineReport {
+        let sketch = LogSketch::new();
+        sketch.record_all(&[0.001, 0.002, 0.0, 5000.0, f64::NAN]);
+        let sketch = sketch.snapshot();
+        EngineReport {
+            served: 5,
+            batches: 2,
+            delivery_failures: 0,
+            max_batch_seen: 3,
+            mean_batch: 2.5,
+            latency: LatencySummary::from_sketch(&sketch),
+            per_epoch: vec![(0, 3), (1, 2)],
+            per_width: vec![(1, LatencySummary::from_sketch(&sketch))],
+            sketch,
+        }
+    }
+
     fn report() -> FabricReport {
-        let mut recorder = LatencyRecorder::new();
-        recorder.record(0.001);
-        recorder.record(0.002);
-        let latency = recorder.summary();
+        let sketch = LogSketch::new();
+        sketch.record_all(&[0.001, 0.002]);
+        let latency = LatencySummary::from_sketch(&sketch.snapshot());
         FabricReport {
             served: 10,
             latency_rollup: latency,
@@ -127,7 +161,7 @@ mod tests {
                 live_epoch: 1,
                 live_trees: 3,
                 latency,
-                shards: vec![],
+                shards: vec![shard()],
                 shadow: ShadowReport {
                     staged: 2,
                     mirrored_rows: 67,
@@ -166,8 +200,8 @@ mod tests {
     }
 
     /// Every report type serializes to JSON and deserializes back to an
-    /// equivalent value (fixed-point re-serialization, since the nested
-    /// recorders don't implement `PartialEq`).
+    /// equivalent value (fixed-point re-serialization, since the reports
+    /// don't implement `PartialEq`), shard sketches included.
     #[test]
     fn reports_round_trip_through_json() {
         let report = report();
@@ -185,6 +219,18 @@ mod tests {
         assert_eq!(
             back.latency_rollup.p99_s.to_bits(),
             report.latency_rollup.p99_s.to_bits()
+        );
+        let (shard, back_shard) = (&report.scenarios[0].shards[0], &back.scenarios[0].shards[0]);
+        assert_ne!(shard.sketch, SketchSnapshot::default());
+        assert_eq!(
+            back_shard.sketch, shard.sketch,
+            "the shard sketch round-trips"
+        );
+        assert_eq!(back_shard.per_epoch, shard.per_epoch);
+        assert_eq!(back_shard.latency.count, 5);
+        assert!(
+            back_shard.latency.max_s.is_nan(),
+            "the NaN tail survives JSON"
         );
     }
 }

@@ -26,10 +26,10 @@ use crate::shadow::{ShadowConfig, ShadowState};
 use metis_dt::DecisionTree;
 use metis_obs::{Observer, ObserverConfig, SloSpec};
 use metis_serve::{
-    Clock, LatencyRecorder, LatencySummary, ModelRegistry, Response, ServeConfig, ServedModel,
-    ServerHandle, TreeServer,
+    Clock, LatencySummary, ModelRegistry, Response, ServeConfig, ServedModel, ServerHandle,
+    TreeServer,
 };
-use metis_telemetry::{ShardTelemetry, Telemetry, CONTROL_SHARD};
+use metis_telemetry::{ShardTelemetry, SketchSnapshot, Telemetry, CONTROL_SHARD};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -416,32 +416,29 @@ impl Router {
 
     /// Stop every shard (draining all queued requests — zero drops for
     /// clients that finished submitting) and merge the per-shard reports
-    /// into the fabric rollup. Drop all handles first.
+    /// into the fabric rollup. Drop all handles first. Every summary —
+    /// per scenario, per tenant and fabric-wide — reads the bucket-wise
+    /// merge of its shards' latency sketches ([`SketchSnapshot::merged`]),
+    /// so all three follow one rule and bound the exact percentiles.
     pub fn shutdown(self) -> FabricReport {
-        let mut tenant_recorders: Vec<LatencyRecorder> = self
-            .tenants
-            .iter()
-            .map(|_| LatencyRecorder::new())
-            .collect();
+        let mut tenant_sketches = vec![SketchSnapshot::default(); self.tenants.len()];
         let mut tenant_served = vec![0u64; self.tenants.len()];
         let mut scenario_reports = Vec::with_capacity(self.scenarios.len());
-        let mut summary_rollup = LatencySummary::empty();
+        let mut fabric_sketch = SketchSnapshot::default();
         let mut served_total = 0u64;
         for scenario in self.scenarios {
             let shard_reports: Vec<_> = scenario.shards.into_iter().map(|s| s.shutdown()).collect();
-            let mut merged = LatencyRecorder::new();
+            let mut merged = SketchSnapshot::default();
             let mut served = 0u64;
             for report in &shard_reports {
-                merged.merge(&report.recorder);
+                merged = merged.merged(&report.sketch);
                 served += report.served;
             }
-            // Exact per-scenario percentiles from the union sample set;
-            // the fabric-wide line uses the summary-level merge (upper
-            // bound) so both merge flavours are exercised in production.
-            let latency = merged.summary();
-            summary_rollup = summary_rollup.merge(&latency);
+            let latency = LatencySummary::from_sketch(&merged);
+            fabric_sketch = fabric_sketch.merged(&merged);
             served_total += served;
-            tenant_recorders[scenario.tenant].merge(&merged);
+            let tenant = &mut tenant_sketches[scenario.tenant];
+            *tenant = tenant.merged(&merged);
             tenant_served[scenario.tenant] += served;
             scenario_reports.push(ScenarioReport {
                 key: scenario.key,
@@ -458,23 +455,13 @@ impl Router {
         let tenants = self
             .tenants
             .into_iter()
-            .zip(tenant_recorders)
+            .zip(tenant_sketches)
             .zip(tenant_served)
-            .map(|((spec, recorder), served)| {
-                let latency = recorder.summary();
-                TenantReport {
-                    met_p99_budget: served == 0 || latency.meets_p99_slo(spec.p99_budget_s),
-                    name: spec.name,
-                    deadline_class: spec.deadline_class,
-                    p99_budget_s: spec.p99_budget_s,
-                    served,
-                    latency,
-                }
-            })
+            .map(|((spec, sketch), served)| TenantReport::new(spec, served, &sketch))
             .collect();
         FabricReport {
             served: served_total,
-            latency_rollup: summary_rollup,
+            latency_rollup: LatencySummary::from_sketch(&fabric_sketch),
             scenarios: scenario_reports,
             tenants,
         }
@@ -733,7 +720,10 @@ mod tests {
             160,
             "per-shard serves must add up"
         );
-        assert_eq!(abr_report.latency.count, 160, "merged recorder is exact");
+        assert_eq!(
+            abr_report.latency.count, 160,
+            "merged sketch counts are exact"
+        );
         assert_eq!(report.latency_rollup.count, 240);
         for tenant in &report.tenants {
             assert!(tenant.met_p99_budget, "infinite budgets always met");
@@ -893,6 +883,120 @@ mod tests {
         assert_eq!(report.scenarios[0].swaps, 2);
         assert_eq!(report.scenarios[0].shadow.promotions.len(), 1);
         assert_eq!(report.scenarios[0].shadow.promotions[0].mismatches, 0);
+    }
+
+    /// `reported` brackets the exact oracle as [`LatencySummary`]
+    /// documents: the same count, and each percentile in
+    /// `[exact, exact · γ + 1.2e-7]`.
+    fn assert_brackets(reported: &LatencySummary, exact: &LatencySummary, what: &str) {
+        assert_eq!(reported.count, exact.count, "{what}: count");
+        for (name, got, want) in [
+            ("p50", reported.p50_s, exact.p50_s),
+            ("p95", reported.p95_s, exact.p95_s),
+            ("p99", reported.p99_s, exact.p99_s),
+            ("max", reported.max_s, exact.max_s),
+        ] {
+            let hi = want * metis_telemetry::GAMMA + 1.2e-7;
+            assert!(
+                want <= got && got <= hi,
+                "{what} {name}: {got} outside [{want}, {hi}]"
+            );
+        }
+    }
+
+    /// Every summary the fabric reports — per shard, per shard and
+    /// ensemble width, per scenario, per tenant and fabric-wide — against
+    /// the exact oracle over the responses' own `latency_s`, on both
+    /// clocks, across a hot swap of one scenario to a 3-tree forest. A
+    /// NaN span merged into a tenant's sketches fails its budget.
+    #[test]
+    fn merged_summaries_bracket_the_exact_oracle_on_both_clocks() {
+        use crate::report::TenantReport;
+        use metis_serve::summarize;
+        use metis_telemetry::LogSketch;
+        let video = TenantSpec {
+            name: "video".into(),
+            deadline_class: 0,
+            p99_budget_s: 10.0,
+        };
+        for clock in [Clock::real(), Clock::virtual_at(0.0)] {
+            let router = Router::new(
+                vec![video.clone(), TenantSpec::new("dc")],
+                vec![
+                    ScenarioSpec::new("abr", "video", tree(24, 6)).shards(2),
+                    ScenarioSpec::new("abr2", "video", tree(12, 6)),
+                    ScenarioSpec::new("flow", "dc", tree(8, 3)).shards(2),
+                ],
+                FabricConfig {
+                    clock: Arc::clone(&clock),
+                    ..quick_cfg()
+                },
+            );
+            let mut handle = router.handle();
+            let mut responses = Vec::new();
+            for k in 0..240u64 {
+                if clock.is_virtual() {
+                    clock.advance_to(k as f64 * 1e-3);
+                }
+                if k == 120 {
+                    responses.extend(handle.collect());
+                    router.publish_forest("abr", vec![tree(24, 6), tree(12, 6), tree(6, 6)]);
+                }
+                handle.submit((k % 3) as usize, k % 11, features(k));
+            }
+            responses.extend(handle.collect());
+            drop(handle);
+            let report = router.shutdown();
+            let exact = |keep: &dyn Fn(&FabricResponse) -> bool| {
+                let spans: Vec<f64> = responses
+                    .iter()
+                    .filter(|r| keep(r))
+                    .map(|r| r.response.latency_s)
+                    .collect();
+                summarize(&spans)
+            };
+            assert_brackets(&report.latency_rollup, &exact(&|_| true), "rollup");
+            for (s, scenario) in report.scenarios.iter().enumerate() {
+                assert_brackets(
+                    &scenario.latency,
+                    &exact(&|r| r.scenario == s),
+                    &scenario.key,
+                );
+                for (shard, engine) in scenario.shards.iter().enumerate() {
+                    let on_shard = |r: &FabricResponse| r.scenario == s && r.shard == shard;
+                    assert_brackets(&engine.latency, &exact(&on_shard), "shard");
+                    for (width, summary) in &engine.per_width {
+                        // Only "abr" swaps, to its 3-tree epoch 1.
+                        let epoch = if *width == 1 { 0 } else { 1 };
+                        let at_width =
+                            |r: &FabricResponse| on_shard(r) && r.response.epoch == epoch;
+                        assert_brackets(summary, &exact(&at_width), "shard width");
+                    }
+                }
+            }
+            assert_eq!(report.scenarios[0].shards[0].per_width.len(), 2);
+            for (tenant, owned) in report.tenants.iter().zip([&[0usize, 1][..], &[2]]) {
+                let exact = exact(&|r| owned.contains(&r.scenario));
+                assert_brackets(&tenant.latency, &exact, &tenant.name);
+                assert!(tenant.met_p99_budget);
+            }
+            let video_sketch = report.scenarios[..2]
+                .iter()
+                .flat_map(|s| &s.shards)
+                .fold(SketchSnapshot::default(), |all, e| all.merged(&e.sketch));
+            let served = report.tenants[0].served;
+            let rebuilt = TenantReport::new(video.clone(), served, &video_sketch);
+            assert_eq!(rebuilt.latency, report.tenants[0].latency);
+            let nan = LogSketch::new();
+            nan.record(f64::NAN);
+            let poisoned = TenantReport::new(
+                video.clone(),
+                served + 1,
+                &video_sketch.merged(&nan.snapshot()),
+            );
+            assert_eq!(poisoned.latency.count, rebuilt.latency.count + 1);
+            assert!(!poisoned.met_p99_budget, "a NaN span must fail the budget");
+        }
     }
 
     #[test]

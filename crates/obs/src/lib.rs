@@ -280,7 +280,7 @@ impl Observer {
             })
             .collect();
         for (track, scope) in st.scopes.iter_mut().zip(&scopes) {
-            let latency = scope.latency.cumulative().snapshot();
+            let latency = scope.latency.snapshot();
             let latency_delta = latency.saturating_delta(&track.prev_latency);
             track.prev_latency = latency;
             let mut stage_deltas = Vec::with_capacity(N_STAGES);

@@ -42,11 +42,15 @@
 //!    [`metis_nn::par::parallel_map_indexed`] under the engine's
 //!    **dedicated pool group** (so serving shares the process-wide pool
 //!    fairly with concurrently running conversion pipelines),
-//! 3. answers every request with its prediction, the serving epoch, and
-//!    its measured queue+service latency — latency is additionally
-//!    bucketed by the serving model's ensemble width, so a registry that
-//!    hot-swaps between tree and forest epochs reports each shape's
-//!    percentiles separately ([`EngineReport::per_width`]).
+//! 3. records the batch's queue+service latencies with one run-length
+//!    amortized [`LogSketch::record_all`] into the sketch of the serving
+//!    model's ensemble width — the engine's only latency store, so a
+//!    registry that hot-swaps between tree and forest epochs reports each
+//!    shape's percentiles separately ([`EngineReport::per_width`]) and
+//!    the engine total is their bucket-wise merge
+//!    ([`EngineReport::sketch`]),
+//! 4. answers every request with its prediction, the serving epoch, and
+//!    its latency.
 //!
 //! Results are merged by row index, so every response is bit-identical to
 //! the sequential oracle on the reported epoch's source trees (single
@@ -54,10 +58,10 @@
 //! size, deadline, thread count, or swap interleaving.
 
 use crate::clock::Clock;
-use crate::latency::{LatencyRecorder, LatencySummary};
+use crate::latency::{span_s, LatencySummary};
 use crate::registry::ModelRegistry;
 use metis_dt::Prediction;
-use metis_telemetry::{FlushStamps, ShardTelemetry};
+use metis_telemetry::{FlushStamps, LogSketch, ShardTelemetry, SketchSnapshot};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -143,33 +147,40 @@ enum Msg {
 /// What a batcher accumulated over its lifetime.
 #[derive(Default)]
 struct EngineLog {
-    latency: LatencyRecorder,
     served: u64,
     batches: u64,
     delivery_failures: u64,
     max_batch_seen: usize,
     per_epoch: BTreeMap<u64, u64>,
-    /// Latency samples bucketed by the serving model's ensemble width
-    /// (1 = single tree, k = k-tree forest).
-    per_width: BTreeMap<usize, LatencyRecorder>,
+    /// Every served request's latency, bucketed by the serving model's
+    /// ensemble width (1 = single tree, k = k-tree forest). Each request
+    /// lands in exactly one sketch.
+    per_width: BTreeMap<usize, LogSketch>,
 }
 
 impl EngineLog {
     fn into_report(self) -> EngineReport {
         let batches = self.batches.max(1);
+        let per_width: Vec<(usize, SketchSnapshot)> = self
+            .per_width
+            .iter()
+            .map(|(&w, sketch)| (w, sketch.snapshot()))
+            .collect();
+        let sketch = per_width
+            .iter()
+            .fold(SketchSnapshot::default(), |all, (_, s)| all.merged(s));
         EngineReport {
             served: self.served,
             batches: self.batches,
             delivery_failures: self.delivery_failures,
             max_batch_seen: self.max_batch_seen,
             mean_batch: self.served as f64 / batches as f64,
-            latency: self.latency.summary(),
-            recorder: self.latency,
+            latency: LatencySummary::from_sketch(&sketch),
+            sketch,
             per_epoch: self.per_epoch.into_iter().collect(),
-            per_width: self
-                .per_width
-                .into_iter()
-                .map(|(w, rec)| (w, rec.summary()))
+            per_width: per_width
+                .iter()
+                .map(|(w, s)| (*w, LatencySummary::from_sketch(s)))
                 .collect(),
         }
     }
@@ -342,9 +353,8 @@ impl<R> Batcher<R> {
             }
         }
         let kernel_end_s = scope.map(|_| virtual_close_s.unwrap_or_else(|| clock.now_s()));
-        // One completion stamp per batch: the exact recorder, the
-        // per-width recorders and the telemetry sketch all see the same
-        // close, on either clock.
+        // One completion stamp per batch: the per-width sketch and the
+        // telemetry sketch see the same close, on either clock.
         let close_s = virtual_close_s.unwrap_or_else(|| clock.now_s());
         let log = &mut self.log;
         log.batches += 1;
@@ -353,12 +363,10 @@ impl<R> Batcher<R> {
         log.served += n as u64;
         // Accounting pass: stamp every request and stage its latency (and,
         // with telemetry on, queue-wait) before anything is delivered.
-        let width_latency = log.per_width.entry(model.n_trees()).or_default();
         scratch.latencies.clear();
         scratch.queue_waits.clear();
         for p in &self.open {
-            let latency_s = log.latency.record_span(p.submitted, close_s);
-            width_latency.record(latency_s);
+            let latency_s = span_s(p.submitted, close_s);
             scratch.latencies.push(latency_s);
             if scope.is_some() {
                 // Queue-wait = submit → kernel start: everything before the
@@ -368,6 +376,10 @@ impl<R> Batcher<R> {
                     .push((kernel_start_s.unwrap_or(close_s) - p.submitted).max(0.0));
             }
         }
+        log.per_width
+            .entry(model.n_trees())
+            .or_default()
+            .record_all(&scratch.latencies);
         // Record ALL the batch's telemetry (spans, flush event, served
         // counters, request sketches) BEFORE delivering any response: a
         // driver that has drained a wave must observe a quiescent scope,
@@ -468,12 +480,13 @@ pub struct EngineReport {
     pub max_batch_seen: usize,
     /// Mean flushed batch size.
     pub mean_batch: f64,
-    /// Percentile summary over every served request's latency.
+    /// Percentile summary over every served request's latency, read from
+    /// [`EngineReport::sketch`] (see [`LatencySummary`] for the bounds).
     pub latency: LatencySummary,
-    /// The raw per-request latency samples behind [`EngineReport::latency`]
-    /// — the fabric merges these across shards for exact per-scenario and
-    /// per-tenant percentiles ([`LatencyRecorder::merge`]).
-    pub recorder: LatencyRecorder,
+    /// Every served request's latency: the bucket-wise merge of the
+    /// per-width sketches. The fabric merges these across shards into
+    /// its per-scenario, per-tenant and fabric-wide summaries.
+    pub sketch: SketchSnapshot,
     /// `(epoch, requests served from it)`, ascending by epoch.
     pub per_epoch: Vec<(u64, u64)>,
     /// `(ensemble width, latency summary of requests served at that
@@ -819,7 +832,9 @@ fn batcher_loop(rx: Receiver<Msg>, mut batcher: Batcher<Sender<Response>>) -> En
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::summarize;
     use metis_dt::{fit, Dataset, DecisionTree, TreeConfig};
+    use metis_telemetry::GAMMA;
 
     fn staircase_tree(n_classes: usize) -> DecisionTree {
         let x: Vec<Vec<f64>> = (0..120)
@@ -935,7 +950,9 @@ mod tests {
         let report = server.shutdown();
         assert_eq!(report.batches, 1);
         assert_eq!(report.served, 9);
-        assert_eq!(report.latency.max_s, 2.5);
+        let latencies: Vec<f64> = responses.iter().map(|r| r.latency_s).collect();
+        assert_brackets(&report.latency, &summarize(&latencies), "engine");
+        assert!((2.5..=2.5 * GAMMA).contains(&report.latency.max_s));
     }
 
     fn virtual_server(tree: DecisionTree, max_batch: usize, clock: &Arc<Clock>) -> TreeServer {
@@ -1124,7 +1141,7 @@ mod tests {
         assert_eq!(events[0].time_s, 0.0);
         assert_eq!(events[1].kind.name(), "flush");
         assert_eq!(events[1].time_s, 2.5);
-        assert_eq!(scope.latency.cumulative().count(), 9);
+        assert_eq!(scope.latency.count(), 9);
         assert_eq!(scope.stage_sketch(Stage::QueueWait).count(), 9);
     }
 
@@ -1201,14 +1218,9 @@ mod tests {
         assert_eq!(report.per_epoch.iter().map(|(_, c)| c).sum::<u64>(), 60);
     }
 
-    /// An ensemble epoch served through the engine answers exactly like
-    /// the offline `Forest` oracle, and a mid-stream swap from tree to
-    /// forest buckets latency under both ensemble widths.
-    #[test]
-    fn forest_epochs_serve_majority_votes_and_bucket_latency_by_width() {
-        let t0 = staircase_tree(5);
-        // Same kind (5 classes), different shapes: vary the leaf budget.
-        let members: Vec<DecisionTree> = [16usize, 8, 5]
+    /// Three 5-class trees of different shapes (the leaf budget varies).
+    fn forest_members() -> Vec<DecisionTree> {
+        [16usize, 8, 5]
             .iter()
             .map(|&leaves| {
                 let x: Vec<Vec<f64>> = (0..120)
@@ -1224,7 +1236,104 @@ mod tests {
                 )
                 .unwrap()
             })
-            .collect();
+            .collect()
+    }
+
+    /// `reported` brackets the exact oracle as [`LatencySummary`]
+    /// documents: the same count, and each percentile in
+    /// `[exact, exact · γ + 1.2e-7]`.
+    fn assert_brackets(reported: &LatencySummary, exact: &LatencySummary, what: &str) {
+        assert_eq!(reported.count, exact.count, "{what}: count");
+        for (name, got, want) in [
+            ("p50", reported.p50_s, exact.p50_s),
+            ("p95", reported.p95_s, exact.p95_s),
+            ("p99", reported.p99_s, exact.p99_s),
+            ("max", reported.max_s, exact.max_s),
+        ] {
+            let hi = want * GAMMA + 1.2e-7;
+            assert!(
+                want <= got && got <= hi,
+                "{what} {name}: {got} outside [{want}, {hi}]"
+            );
+        }
+    }
+
+    /// The engine's sketch summaries against the exact oracle over the
+    /// responses' own `latency_s`, on both clocks, across a hot swap from
+    /// a single tree to a 3-tree forest: the engine total and each
+    /// ensemble width's summary keep the exact count and bracket every
+    /// exact percentile.
+    #[test]
+    fn sketch_summaries_bracket_the_exact_oracle_on_both_clocks() {
+        for clock in [Clock::real(), Clock::virtual_at(0.0)] {
+            let registry = Arc::new(ModelRegistry::new(staircase_tree(5)));
+            let server = TreeServer::start_clocked(
+                Arc::clone(&registry),
+                ServeConfig {
+                    max_batch: 8,
+                    max_delay: Duration::from_micros(200),
+                    ..Default::default()
+                },
+                Arc::clone(&clock),
+            );
+            let mut handle = server.handle();
+            let mut responses = Vec::new();
+            for k in 0..160u64 {
+                if clock.is_virtual() {
+                    clock.advance_to(k as f64 * 1e-3);
+                }
+                if k == 70 {
+                    responses.extend(handle.collect());
+                    registry
+                        .publish_model(crate::ServedModel::from_trees(forest_members()).unwrap());
+                }
+                handle.submit(req_features(k));
+            }
+            responses.extend(handle.collect());
+            drop(handle);
+            let report = server.shutdown();
+            let latencies = |epoch: Option<u64>| -> Vec<f64> {
+                responses
+                    .iter()
+                    .filter(|r| epoch.is_none_or(|e| r.epoch == e))
+                    .map(|r| r.latency_s)
+                    .collect()
+            };
+            assert_brackets(&report.latency, &summarize(&latencies(None)), "engine");
+            let widths: Vec<usize> = report.per_width.iter().map(|(w, _)| *w).collect();
+            assert_eq!(widths, vec![1, 3]);
+            for (width, summary) in &report.per_width {
+                let epoch = if *width == 1 { 0 } else { 1 };
+                let exact = summarize(&latencies(Some(epoch)));
+                assert_brackets(summary, &exact, &format!("width {width}"));
+            }
+        }
+    }
+
+    /// A NaN span (a NaN submit stamp) is counted, poisons the engine
+    /// summary's tail, and so fails every p99 budget.
+    #[test]
+    fn a_nan_span_fails_the_p99_slo() {
+        let registry = Arc::new(ModelRegistry::new(staircase_tree(3)));
+        let mut batcher = Batcher::new(registry, ServeConfig::default(), Clock::virtual_at(0.0));
+        for k in 0..100u64 {
+            batcher.offer(k, &req_features(k), k as f64 * 1e-3, (), |_, _| true);
+        }
+        batcher.offer(100, &req_features(100), f64::NAN, (), |_, _| true);
+        let report = batcher.close(|_, _| true).into_report();
+        assert_eq!(report.latency.count, 101);
+        assert_eq!(report.sketch.invalid, 1);
+        assert!(report.latency.p99_s.is_nan() && report.latency.max_s.is_nan());
+        assert!(!report.latency.meets_p99_slo(f64::INFINITY));
+    }
+
+    /// An ensemble epoch served through the engine answers exactly like
+    /// the offline `Forest` oracle, and a mid-stream swap from tree to
+    /// forest buckets latency under both ensemble widths.
+    #[test]
+    fn forest_epochs_serve_majority_votes_and_bucket_latency_by_width() {
+        let t0 = staircase_tree(5);
+        let members = forest_members();
         let ensemble = crate::ServedModel::from_trees(members.clone()).unwrap();
         let forest = metis_dt::Forest::from_trees(&members).unwrap();
         let registry = Arc::new(ModelRegistry::new(t0.clone()));

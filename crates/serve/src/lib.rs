@@ -10,9 +10,10 @@
 //!   (wall-time) and a virtual (discrete-event) implementation; every
 //!   stamp, deadline, and pacing sleep in this crate reads it, so the
 //!   whole serving path runs unchanged under either time source,
-//! * [`latency`] — per-request latency capture with percentile summaries
-//!   (p50/p95/p99/max), the SLO-accounting vocabulary shared with
-//!   `metis_core::deploy`,
+//! * [`latency`] — percentile summaries (p50/p95/p99/max) read from the
+//!   engine's latency sketches, plus the exact summary over raw samples
+//!   that `metis_core::deploy` and the tests use as the oracle — the
+//!   SLO-accounting vocabulary,
 //! * [`registry`] — an epoch-pointer model registry with atomic hot-swap:
 //!   readers grab an `Arc` to the current [`ServedModel`] — one compiled
 //!   tree or a [`metis_dt::Forest`] majority-vote ensemble — and never
@@ -25,8 +26,9 @@
 //!   submitting thread on a virtual one; its batches run
 //!   the epoch's served model through the lane-vectorized kernel
 //!   ([`ServedModel::predict_batch_into`], into a flush-reused scratch
-//!   buffer) and fan across [`metis_nn::par::WorkerPool::global`] stripe
-//!   jobs under a dedicated pool group,
+//!   buffer) and fan across stripe jobs on the process-wide pool
+//!   ([`metis_nn::par::global`]) under a dedicated pool group; each
+//!   request's latency lands in the sketch of its model's ensemble width,
 //! * [`traffic`] — open-loop load generation: ABR-trace replay
 //!   inter-arrivals and Poisson (flowsched-style) arrival processes driven
 //!   against a server without ever waiting for responses.
@@ -57,7 +59,7 @@ pub mod traffic;
 
 pub use clock::Clock;
 pub use engine::{EngineReport, Request, Response, ServeConfig, ServerHandle, TreeServer};
-pub use latency::{summarize, summarize_sorted, LatencyRecorder, LatencySummary};
+pub use latency::{summarize, summarize_sorted, LatencySummary};
 pub use registry::{EpochModel, ModelRegistry, ServedModel};
 pub use traffic::{
     drive_open_loop, drive_open_loop_paced, drive_open_loop_virtual, ArrivalProcess,

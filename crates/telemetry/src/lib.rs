@@ -11,9 +11,11 @@
 //!   serving stack's `Clock` so real and virtual time share one path,
 //! * [`metrics`] — lock-free counters and gauges (queue depth,
 //!   in-flight batches, served-per-epoch, ensemble width),
-//! * [`sketch`] — a windowed streaming percentile sketch (fixed
+//! * [`sketch`] — a cumulative streaming percentile sketch (fixed
 //!   log-spaced histogram, `γ = 2^(1/8)` ⇒ ≤ 9.05% relative error,
-//!   mergeable, bounded memory) for mid-run per-tenant p50/p99 reads,
+//!   mergeable, bounded memory) for mid-run per-tenant p50/p99 reads;
+//!   a reader that wants a recent window diffs two snapshots
+//!   ([`SketchSnapshot::saturating_delta`]), as `metis_obs` does,
 //! * [`recorder`] — a flight recorder: bounded ring of structured
 //!   events (admission, flush, hot-swap, audit verdict, drain) with
 //!   per-scope sequence numbers,
@@ -43,7 +45,7 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge};
 pub use recorder::{EventKind, FlightEvent, FlightRecorder};
-pub use sketch::{bucket_edge, LogSketch, SketchSnapshot, WindowedSketch, GAMMA};
+pub use sketch::{bucket_edge, LogSketch, SketchSnapshot, GAMMA};
 pub use span::{SpanLog, SpanRecord, Stage};
 
 use std::collections::BTreeMap;
@@ -67,8 +69,6 @@ pub struct TelemetryConfig {
     pub span_capacity: usize,
     /// Flight-recorder ring size per scope (tail of run; drops counted).
     pub recorder_capacity: usize,
-    /// Width of the sketch's rotating window, in stamp seconds.
-    pub window_s: f64,
 }
 
 impl Default for TelemetryConfig {
@@ -76,7 +76,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             span_capacity: 4096,
             recorder_capacity: 1024,
-            window_s: 1.0,
         }
     }
 }
@@ -104,8 +103,8 @@ pub struct ShardTelemetry {
     pub batches: Counter,
     /// Ensemble width of the last flushed epoch.
     pub ensemble_width: Gauge,
-    /// Windowed latency sketch (full request span, seconds).
-    pub latency: WindowedSketch,
+    /// Cumulative latency sketch (full request span, seconds).
+    pub latency: LogSketch,
     stage_sketches: [LogSketch; Stage::ALL.len()],
     per_epoch: Mutex<BTreeMap<u64, u64>>,
     /// Batch-level span timeline.
@@ -159,7 +158,7 @@ impl ShardTelemetry {
             served: Counter::new(),
             batches: Counter::new(),
             ensemble_width: Gauge::new(),
-            latency: WindowedSketch::new(cfg.window_s),
+            latency: LogSketch::new(),
             stage_sketches: Default::default(),
             per_epoch: Mutex::new(BTreeMap::new()),
             spans: SpanLog::new(cfg.span_capacity),
@@ -211,21 +210,22 @@ impl ShardTelemetry {
     }
 
     /// One request completed: full-span latency plus its queue-wait
-    /// share, stamped at the batch close.
-    pub fn on_request(&self, close_s: f64, latency_s: f64, queue_wait_s: f64) {
-        self.latency.record(close_s, latency_s);
+    /// share.
+    pub fn on_request(&self, latency_s: f64, queue_wait_s: f64) {
+        self.latency.record(latency_s);
         self.stage_sketches[Stage::QueueWait.index()].record(queue_wait_s);
     }
 
     /// A whole flushed batch's request samples in one pass — the
     /// engine's hot path. Equivalent multiset to calling
-    /// [`Self::on_request`] per request with `close_s` as every stamp,
-    /// but run-length amortized: within a batch latencies and
-    /// queue-waits are monotone (earlier submits waited longer), so
-    /// each distinct sketch bucket costs one atomic add regardless of
-    /// batch size.
+    /// [`Self::on_request`] per request, but run-length amortized:
+    /// within a batch latencies and queue-waits are monotone (earlier
+    /// submits waited longer), so each distinct sketch bucket costs one
+    /// atomic add regardless of batch size. `close_s` (the batch close)
+    /// is unused.
     pub fn on_requests(&self, close_s: f64, latencies_s: &[f64], queue_waits_s: &[f64]) {
-        self.latency.record_all(close_s, latencies_s);
+        let _ = close_s;
+        self.latency.record_all(latencies_s);
         self.stage_sketches[Stage::QueueWait.index()].record_all(queue_waits_s);
     }
 
@@ -320,7 +320,7 @@ impl ShardTelemetry {
             self.events.dropped(),
             self.served.get(),
             self.served_per_epoch(),
-            self.latency.cumulative().snapshot(),
+            self.latency.snapshot(),
         ));
         for stage in Stage::ALL {
             text.push_str(&format!(
@@ -501,8 +501,8 @@ mod tests {
         let t = Telemetry::enabled();
         let s = t.register("abr", 0, "gold").unwrap();
         s.on_batch_open();
-        s.on_request(2.0, 1.0, 0.5);
-        s.on_request(2.0, 0.25, 0.0);
+        s.on_request(1.0, 0.5);
+        s.on_request(0.25, 0.0);
         s.record_flush(&FlushStamps {
             open_s: 1.0,
             kernel_start_s: 2.0,
@@ -517,7 +517,7 @@ mod tests {
         assert_eq!(s.inflight_batches.get(), 0);
         assert_eq!(s.ensemble_width.get(), 3);
         assert_eq!(s.served_per_epoch(), vec![(5, 2)]);
-        assert_eq!(s.latency.cumulative().count(), 2);
+        assert_eq!(s.latency.count(), 2);
         assert_eq!(s.stage_sketch(Stage::QueueWait).count(), 2);
         assert_eq!(s.stage_sketch(Stage::BatchForm).count(), 1);
         assert_eq!(s.spans.len(), 3, "batch_form + kernel + collect spans");
@@ -532,7 +532,7 @@ mod tests {
         let run = |latency: f64| {
             let t = Telemetry::enabled();
             let s = t.register("abr", 0, "gold").unwrap();
-            s.on_request(1.0, latency, 0.0);
+            s.on_request(latency, 0.0);
             s.on_hot_swap(1.5, 2, 4, 0.0);
             t.digest()
         };

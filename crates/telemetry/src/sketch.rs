@@ -3,14 +3,17 @@
 //! DDSketch's relative-error guarantee but with **static** bucket edges
 //! so that merging is a plain bucket-wise add — commutative and
 //! associative, hence bit-identical for any interleaving of writers.
+//! It is the serving stack's one latency store: the engine's per-width
+//! totals, the fabric's per-scenario, per-tenant and fabric-wide
+//! summaries, and the live telemetry scopes all read sketches.
 //!
 //! Geometry: 8 buckets per octave (`γ = 2^(1/8) ≈ 1.0905`). Bucket `i`
 //! covers `(2^((i-1)/8), 2^(i/8)]` seconds; indices span
 //! [`IDX_MIN`]..=[`IDX_MAX`] (≈ 1.1e-7 s .. 1024 s), values outside
 //! land in dedicated under/overflow buckets and NaNs in an `invalid`
 //! count. A quantile estimate returns the **upper edge** of the bucket
-//! holding the exact order statistic at the same floor-index rank the
-//! exact recorder uses (`metis_serve::summarize_sorted`), so for
+//! holding the exact order statistic at the same floor-index rank as the
+//! exact oracle (`metis_serve::summarize_sorted`), so for
 //! in-range samples:
 //!
 //! ```text
@@ -24,7 +27,7 @@
 //! scraping — deterministic reads happen after the writers quiesce.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Buckets per octave: `γ = 2^(1/8)`.
 const BUCKETS_PER_OCTAVE: f64 = 8.0;
@@ -55,8 +58,8 @@ const UNDERFLOW_EDGE: f64 = 9.192_292_841_720_228e-8;
 /// `edge(IDX_MAX)` = `2^(80/8)` = 1024 s exactly.
 const OVERFLOW_EDGE: f64 = 1024.0;
 
-/// Where one sample lands: computed once, recordable into several
-/// sketches (cumulative + window) without re-classifying.
+/// Where one sample lands: the under/overflow counters, the `invalid`
+/// (NaN) counter, or one bucket.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Invalid,
@@ -137,7 +140,7 @@ fn bucket_index(v: f64) -> i64 {
 
 /// Classify each sample and hand `(slot, run length)` pairs to `sink`,
 /// merging adjacent equal slots — the amortization behind
-/// [`LogSketch::record_all`] / [`WindowedSketch::record_all`].
+/// [`LogSketch::record_all`].
 #[inline]
 fn record_runs(vs: &[f64], mut sink: impl FnMut(Slot, u64)) {
     let mut idx = 0;
@@ -181,15 +184,10 @@ impl LogSketch {
     }
 
     /// Record one sample (seconds). Lock-free; NaN counts as `invalid`
-    /// and is excluded from quantiles (unlike the exact recorder, whose
-    /// NaNs inflate the tail — documented divergence).
+    /// and is excluded from quantiles (`metis_serve::LatencySummary`
+    /// turns a non-zero `invalid` into a NaN tail).
     pub fn record(&self, v: f64) {
-        self.record_slot(Slot::classify(v));
-    }
-
-    #[inline]
-    fn record_slot(&self, slot: Slot) {
-        self.add_slot(slot, 1);
+        self.add_slot(Slot::classify(v), 1);
     }
 
     #[inline]
@@ -226,25 +224,6 @@ impl LogSketch {
         self.overflow
             .fetch_add(other.overflow.load(Relaxed), Relaxed);
         self.invalid.fetch_add(other.invalid.load(Relaxed), Relaxed);
-    }
-
-    /// Reset to the contents of `other` (single-writer window rotation).
-    pub(crate) fn reset_from(&self, other: &LogSketch) {
-        for (dst, src) in self.buckets.iter().zip(&other.buckets) {
-            dst.store(src.load(Relaxed), Relaxed);
-        }
-        self.underflow.store(other.underflow.load(Relaxed), Relaxed);
-        self.overflow.store(other.overflow.load(Relaxed), Relaxed);
-        self.invalid.store(other.invalid.load(Relaxed), Relaxed);
-    }
-
-    pub(crate) fn clear(&self) {
-        for b in &self.buckets {
-            b.store(0, Relaxed);
-        }
-        self.underflow.store(0, Relaxed);
-        self.overflow.store(0, Relaxed);
-        self.invalid.store(0, Relaxed);
     }
 
     /// Sparse point-in-time copy of the contents.
@@ -416,97 +395,6 @@ impl SketchSnapshot {
     }
 }
 
-/// A [`LogSketch`] tripled into cumulative + rotating time windows, so a
-/// scraper can read both all-of-run and recent percentiles mid-run.
-/// Window rotation keys off the **stamp** passed to [`Self::record`]
-/// (virtual or real seconds), so rotation is a pure function of the
-/// sample schedule. Recording is single-writer per sketch (the engine's
-/// batcher thread); reads may race a rotation and see a freshly cleared
-/// current window — the `window_quantile` read merges current + previous
-/// to smooth that seam.
-#[derive(Debug)]
-pub struct WindowedSketch {
-    /// `1 / window_s` when windowing is active, else 0.0 — the record
-    /// path multiplies instead of dividing.
-    inv_window_s: f64,
-    cumulative: LogSketch,
-    cur: LogSketch,
-    prev: LogSketch,
-    cur_window: AtomicI64,
-}
-
-impl WindowedSketch {
-    pub fn new(window_s: f64) -> Self {
-        WindowedSketch {
-            inv_window_s: if window_s.is_finite() && window_s > 0.0 {
-                window_s.recip()
-            } else {
-                0.0
-            },
-            cumulative: LogSketch::new(),
-            cur: LogSketch::new(),
-            prev: LogSketch::new(),
-            cur_window: AtomicI64::new(0),
-        }
-    }
-
-    /// Rotate the current window if `stamp_s` has crossed a boundary.
-    #[inline]
-    fn rotate_to(&self, stamp_s: f64) {
-        let w = if self.inv_window_s > 0.0 && stamp_s.is_finite() {
-            (stamp_s * self.inv_window_s).floor() as i64
-        } else {
-            0
-        };
-        if w != self.cur_window.load(Relaxed) {
-            self.prev.reset_from(&self.cur);
-            self.cur.clear();
-            self.cur_window.store(w, Relaxed);
-        }
-    }
-
-    /// Record `v` stamped at `stamp_s`. Single writer per sketch.
-    pub fn record(&self, stamp_s: f64, v: f64) {
-        self.rotate_to(stamp_s);
-        let slot = Slot::classify(v);
-        self.cumulative.record_slot(slot);
-        self.cur.record_slot(slot);
-    }
-
-    /// Record a batch of samples sharing one window stamp (an engine
-    /// flush's close): one rotation check, then run-length classified
-    /// adds into cumulative + current (see [`LogSketch::record_all`]).
-    /// Keying every sample off the batch stamp can shift a sample by at
-    /// most one flush interval at a window seam — windows are seconds,
-    /// flushes sub-millisecond, and under a virtual clock the per-batch
-    /// and per-sample stamps coincide exactly.
-    pub fn record_all(&self, stamp_s: f64, vs: &[f64]) {
-        self.rotate_to(stamp_s);
-        record_runs(vs, |slot, n| {
-            self.cumulative.add_slot(slot, n);
-            self.cur.add_slot(slot, n);
-        });
-    }
-
-    /// All-of-run sketch.
-    pub fn cumulative(&self) -> &LogSketch {
-        &self.cumulative
-    }
-
-    /// All-of-run quantile estimate.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.cumulative.quantile(q)
-    }
-
-    /// Recent quantile estimate over the current + previous windows.
-    pub fn window_quantile(&self, q: f64) -> Option<f64> {
-        self.cur
-            .snapshot()
-            .merged(&self.prev.snapshot())
-            .quantile(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,32 +481,6 @@ mod tests {
         assert_eq!(snap, back);
     }
 
-    #[test]
-    fn windows_rotate_on_the_stamp_and_cumulative_keeps_everything() {
-        let w = WindowedSketch::new(1.0);
-        for k in 0..100 {
-            w.record(0.5, 1e-3 * (k + 1) as f64); // window 0: 1ms..100ms
-        }
-        for k in 0..100 {
-            w.record(1.5, 1.0 + 1e-3 * k as f64); // window 1: ~1s
-        }
-        for _ in 0..100 {
-            w.record(2.5, 10.0); // window 2: 10s
-        }
-        // Cumulative p50 sits in the ~1s region (rank 149 of 0..=299).
-        let cum = w.quantile(0.5).unwrap();
-        assert!((1.0..=1.2 * GAMMA).contains(&cum), "cumulative p50 {cum}");
-        // Recent (windows 1+2 after rotation... window 0 aged out) median
-        // covers only the 1s/10s samples.
-        let recent = w.window_quantile(0.5).unwrap();
-        assert!(recent >= 1.0, "recent p50 {recent} must not see window 0");
-        let recent_p99 = w.window_quantile(0.99).unwrap();
-        assert!(
-            (10.0..=10.0 * GAMMA).contains(&recent_p99),
-            "recent p99 {recent_p99}"
-        );
-    }
-
     /// The branchless bit-twiddled bucket index must agree with the
     /// reference `ceil(8·log2(v))` everywhere in range — dense sweep
     /// plus every edge and its representable neighbours (at an exact
@@ -694,18 +556,12 @@ mod tests {
             singles.record(v);
         }
         assert_eq!(batched.snapshot(), singles.snapshot());
-
-        let windowed = WindowedSketch::new(1.0);
-        windowed.record_all(7.25, &vs);
-        assert_eq!(windowed.cumulative().snapshot(), singles.snapshot());
-        assert_eq!(windowed.cur.snapshot(), singles.snapshot());
     }
 
     #[test]
     fn bucket_edges_bound_single_samples() {
-        let sketch = LogSketch::new();
         for v in [1.19e-7, 1e-6, 0.003, 1.0, 42.0, 1023.9] {
-            sketch.clear();
+            let sketch = LogSketch::new();
             sketch.record(v);
             let est = sketch.quantile(0.5).unwrap();
             assert!(

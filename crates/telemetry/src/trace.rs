@@ -222,7 +222,6 @@ mod tests {
         let t = Telemetry::with_config(crate::TelemetryConfig {
             span_capacity: 1,
             recorder_capacity: 2,
-            ..Default::default()
         });
         let scope = t.register_scope("abr", 0, "gold", 2).unwrap();
         for k in 0..5u64 {
