@@ -14,7 +14,8 @@ use metis_nn::net::softmax;
 use metis_nn::tape::{Tape, Var};
 use metis_nn::Mlp;
 use metis_routing::{
-    candidates_for, connections, Demand, LatencyModel, RouteNetModel, Routing, Topology,
+    candidates_for, connections, Demand, LatencyModel, RouteNetModel, Routing, RoutingLinks,
+    Topology,
 };
 
 /// Formulate an SDN routing result as a hypergraph (§4.1 / Figure 5):
@@ -53,15 +54,21 @@ pub fn routing_hypergraph(topo: &Topology, demands: &[Demand], routing: &Routing
 /// the messages exchanged across it inside the GNN, and the output is the
 /// concatenation of per-demand softmax distributions over candidate paths
 /// (routing decisions -> discrete, compared by KL; Eq. 6).
+///
+/// The search's gradient, [`MaskedSystem::d_value_grad`], is a
+/// hand-derived reverse pass over the f64 forward
+/// ([`metis_routing::CandidatePass::mask_grad`]): single-threaded,
+/// deterministic, and free of parameter gradients.
+/// [`MaskedSystem::masked_output`] keeps the tape forward as its oracle.
 pub struct MaskedRouting<'a> {
     pub model: &'a RouteNetModel,
     pub topo: &'a Topology,
     pub demands: &'a [Demand],
     pub routing: &'a Routing,
-    pub candidates: Vec<Vec<Vec<usize>>>,
+    candidates: Vec<Vec<Vec<usize>>>,
     /// Softmax sharpness over candidate delays.
     pub beta: f64,
-    n_connections: usize,
+    links: RoutingLinks,
 }
 
 impl<'a> MaskedRouting<'a> {
@@ -72,7 +79,7 @@ impl<'a> MaskedRouting<'a> {
         routing: &'a Routing,
     ) -> Self {
         let candidates = candidates_for(topo, demands);
-        let n_connections = connections(topo, routing).len();
+        let links = RoutingLinks::new(topo, routing, &candidates);
         // Sharp candidate distributions: damping a decisive connection must
         // move real probability mass, otherwise the KL term cannot compete
         // with the conciseness penalty and every mask collapses to zero.
@@ -83,35 +90,43 @@ impl<'a> MaskedRouting<'a> {
             routing,
             candidates,
             beta: 25.0,
-            n_connections,
+            links,
         }
+    }
+
+    /// Each demand's candidate node paths, in output order.
+    pub fn candidates(&self) -> &[Vec<Vec<usize>>] {
+        &self.candidates
+    }
+
+    /// Per-demand softmax over `-beta * delay`, concatenated in demand
+    /// order.
+    fn candidate_softmax(&self, delays: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(delays.len());
+        let mut lo = 0;
+        for cands in &self.candidates {
+            let scores: Vec<f64> = delays[lo..lo + cands.len()]
+                .iter()
+                .map(|d| -self.beta * d)
+                .collect();
+            out.extend(softmax(&scores));
+            lo += cands.len();
+        }
+        out
     }
 }
 
 impl MaskedSystem for MaskedRouting<'_> {
     fn n_connections(&self) -> usize {
-        self.n_connections
+        self.links.n_connections()
     }
 
     fn reference_output(&self) -> Vec<f64> {
         // Unmasked candidate delays -> per-demand softmax, concatenated.
-        let tape = Tape::new();
-        let pv = tape.vars(self.model.params());
-        let delays = self.model.candidate_delays_tape(
-            &tape,
-            &pv,
-            self.topo,
-            self.demands,
-            self.routing,
-            &self.candidates,
-            None,
-        );
-        let mut out = Vec::new();
-        for per_demand in delays {
-            let scores: Vec<f64> = per_demand.iter().map(|v| -self.beta * v.value()).collect();
-            out.extend(softmax(&scores));
-        }
-        out
+        let pass = self
+            .model
+            .candidate_pass(self.topo, self.demands, &self.links, None);
+        self.candidate_softmax(pass.delays())
     }
 
     fn masked_output<'t>(&self, tape: &'t Tape, mask: &[Var<'t>]) -> Vec<Var<'t>> {
@@ -138,6 +153,53 @@ impl MaskedSystem for MaskedRouting<'_> {
             }
         }
         out
+    }
+
+    /// Eq. 6 KL and its mask gradient by hand: the f64 pass, the
+    /// per-demand softmax and KL, their adjoint back to the candidate
+    /// delays, then [`metis_routing::CandidatePass::mask_grad`]. The
+    /// result does not depend on `threads`.
+    fn d_value_grad(&self, mask: &[f64], reference: &[f64], _threads: usize) -> (f64, Vec<f64>) {
+        assert_eq!(mask.len(), self.n_connections(), "one mask per connection");
+        let pass = self
+            .model
+            .candidate_pass(self.topo, self.demands, &self.links, Some(mask));
+        let delays = pass.delays();
+        assert_eq!(
+            reference.len(),
+            delays.len(),
+            "reference must hold one probability per candidate"
+        );
+        let y = self.candidate_softmax(delays);
+
+        // D = Σ y·ln(y / r) with the floors of the tape's D: r at 1e-12
+        // and the log's argument at 1e-300. dD/dy = ln(q) + y / (q·r) for
+        // q = y / r.
+        let mut d_val = 0.0;
+        let mut d_y = Vec::with_capacity(y.len());
+        for (&yw, &yi) in y.iter().zip(reference) {
+            let r = yi.max(1e-12);
+            let q = (yw / r).max(1e-300);
+            d_val += yw * q.ln();
+            d_y.push(q.ln() + yw / (q * r));
+        }
+
+        // Softmax adjoint per demand, then through the -beta scaling.
+        let mut d_delays = vec![0.0; delays.len()];
+        let mut lo = 0;
+        for cands in &self.candidates {
+            let span = lo..lo + cands.len();
+            let inner: f64 = y[span.clone()]
+                .iter()
+                .zip(&d_y[span.clone()])
+                .map(|(p, g)| p * g)
+                .sum();
+            for j in span {
+                d_delays[j] = -self.beta * y[j] * (d_y[j] - inner);
+            }
+            lo += cands.len();
+        }
+        (d_val, pass.mask_grad(&d_delays))
     }
 
     fn output_kind(&self) -> OutputKind {
@@ -447,7 +509,7 @@ mod tests {
         let reference = system.reference_output();
         // One softmax per demand, each summing to 1.
         let mut offset = 0;
-        for c in &system.candidates {
+        for c in system.candidates() {
             let s: f64 = reference[offset..offset + c.len()].iter().sum();
             assert!((s - 1.0).abs() < 1e-9);
             offset += c.len();

@@ -9,9 +9,10 @@
 //!   incidence matrix of Eq. 3 (the Figure-5 example is a unit test),
 //! * [`mask`] — the differentiable critical-connection search of Figure 6:
 //!   `min D(Y_W, Y_I) + λ₁‖W‖ + λ₂H(W)` with the sigmoid gating of Eq. 9,
-//!   optimized with Adam over the `metis-nn` autodiff tape; per-iteration
-//!   gradients are sharded across threads and merged by connection index,
-//!   so results are identical for any thread count,
+//!   optimized with Adam; each system supplies the `D` gradient (the
+//!   `metis-nn` autodiff tape by default), per-connection work is sharded
+//!   across threads and merged by connection index, so results are
+//!   identical for any thread count,
 //! * [`nnmask::MaskedMlp`] — the local-system instance: a feature mask on
 //!   an MLP policy over a batch of observations, with a batched
 //!   block-parallel gradient path pinned bit-for-bit to a per-obs oracle.

@@ -56,12 +56,15 @@ pub trait MaskedSystem {
     /// with respect to the mask values, against a precomputed reference.
     ///
     /// The default records one scalar tape over the full
-    /// [`MaskedSystem::masked_output`] — correct for monolithic systems
-    /// whose output couples every connection (RouteNet message passing).
-    /// Row-separable systems (one independent output block per
-    /// observation, e.g. [`crate::nnmask::MaskedMlp`]) override this with
-    /// a batched, thread-sharded evaluation whose result is **bit-identical
-    /// for any thread count** (per-row gradients merged in row order).
+    /// [`MaskedSystem::masked_output`]. It is correct for any system and
+    /// is the oracle the overrides are tested against. Row-separable
+    /// systems (one independent output block per observation, e.g.
+    /// [`crate::nnmask::MaskedMlp`]) override this with a batched,
+    /// thread-sharded evaluation whose result is **bit-identical for any
+    /// thread count** (per-row gradients merged in row order). The RouteNet
+    /// system (`metis_core::MaskedRouting`) overrides it with a
+    /// hand-derived adjoint of its message passing, one sequential f64
+    /// pass that ignores `threads`.
     fn d_value_grad(&self, mask: &[f64], reference: &[f64], _threads: usize) -> (f64, Vec<f64>) {
         let tape = Tape::new();
         let mask_vars = tape.vars(mask);
@@ -124,9 +127,14 @@ pub struct MaskConfig {
     /// D-vs-λ₁ equilibrium settles prevents that transient from being
     /// frozen at the W=1 pole.
     pub entropy_warmup: f64,
-    /// Worker threads for the per-iteration gradient evaluation
-    /// (0 = all cores). Results are **identical for any value**: work is
-    /// sharded by block/connection index and merged back in index order.
+    /// Worker threads for the work of each step that shards (0 = all
+    /// cores): the batched gradient of a row-separable system such as
+    /// [`crate::nnmask::MaskedMlp`], and the per-connection penalty and
+    /// gate step once a system has 512 or more connections. A gradient
+    /// that is one sequential pass (the tape default, RouteNet's hand
+    /// adjoint) ignores it. Results are **identical for any value**: work
+    /// is sharded by block/connection index and merged back in index
+    /// order.
     pub threads: usize,
 }
 
@@ -158,10 +166,18 @@ pub struct MaskResult {
 }
 
 impl MaskResult {
-    /// Connection indices sorted by descending mask value.
+    /// Connection indices sorted by descending mask value; equal values
+    /// keep index order. A NaN mask carries no evidence of criticality, so
+    /// NaN entries rank last, in index order, whatever their sign bit.
     pub fn ranked(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.mask.len()).collect();
-        idx.sort_by(|&a, &b| self.mask[b].partial_cmp(&self.mask[a]).unwrap());
+        idx.sort_by(|&a, &b| {
+            let (x, y) = (self.mask[a], self.mask[b]);
+            match (x.is_nan(), y.is_nan()) {
+                (false, false) => y.total_cmp(&x),
+                (x_nan, y_nan) => x_nan.cmp(&y_nan),
+            }
+        });
         idx
     }
 
@@ -209,7 +225,8 @@ fn binary_entropy_grad(w: f64) -> f64 {
 /// Adam step. Per-connection work is sharded across `cfg.threads` workers
 /// and merged back by connection index, so the result is identical for
 /// any thread count. The pre-refactor single-tape optimizer is retained
-/// as [`reference::optimize_mask_single_tape`] and pinned by parity tests.
+/// as the unit tests' `optimize_mask_single_tape` and pinned by a parity
+/// test.
 pub fn optimize_mask<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResult {
     let n = system.n_connections();
     let reference = system.reference_output();
@@ -277,75 +294,6 @@ fn threads_for(requested: usize, n: usize) -> usize {
     }
 }
 
-/// The pre-refactor optimizer, kept verbatim as the behavioural oracle
-/// for the batched/parallel implementation: one scalar tape per step
-/// carrying the gate, the D term, and both penalties. Gradients agree
-/// with the new path up to floating-point association (the λ-terms are
-/// now closed-form), so parity is asserted on the *ranked* masks.
-#[doc(hidden)]
-pub mod reference {
-    use super::*;
-
-    pub fn optimize_mask_single_tape<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResult {
-        let n = system.n_connections();
-        let reference = system.reference_output();
-        let mut logits = vec![cfg.init_logit; n];
-        let mut opt = Adam::new(cfg.learning_rate);
-        let mut loss_history = Vec::with_capacity(cfg.steps);
-        let (mut final_d, mut final_l1, mut final_entropy) = (0.0, 0.0, 0.0);
-
-        for step in 0..cfg.steps {
-            let warmup_steps = cfg.entropy_warmup * cfg.steps as f64;
-            let l2_now = if (step as f64) < warmup_steps {
-                0.0
-            } else {
-                cfg.lambda2
-            };
-            let tape = Tape::new();
-            let logit_vars = tape.vars(&logits);
-            let mask: Vec<Var<'_>> = logit_vars.iter().map(|v| v.sigmoid()).collect();
-
-            let output = system.masked_output(&tape, &mask);
-            assert_eq!(
-                output.len(),
-                reference.len(),
-                "masked_output length must match reference_output"
-            );
-            let d = d_term(&tape, &output, &reference, system.output_kind());
-
-            // ‖W‖ — Eq. 7 (masks are already in (0,1): |W| = W).
-            let l1 = sum(&tape, &mask);
-
-            // H(W) — Eq. 8.
-            let ent_terms: Vec<Var<'_>> = mask.iter().map(|w| w.binary_entropy()).collect();
-            let entropy = sum(&tape, &ent_terms);
-
-            let loss = d + l1 * cfg.lambda1 + entropy * l2_now;
-            loss_history.push(loss.value());
-            final_d = d.value();
-            final_l1 = l1.value();
-            final_entropy = entropy.value();
-
-            let grads = loss.grad();
-            let mut grad_vec: Vec<f64> = logit_vars.iter().map(|v| grads.wrt(*v)).collect();
-            let mut params = [ParamGrad {
-                param: &mut logits,
-                grad: &mut grad_vec,
-            }];
-            opt.step(&mut params);
-        }
-
-        let mask = logits.iter().map(|&l| 1.0 / (1.0 + (-l).exp())).collect();
-        MaskResult {
-            mask,
-            loss_history,
-            final_d,
-            final_l1,
-            final_entropy,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,8 +355,72 @@ mod tests {
         );
     }
 
-    /// The refactored per-connection optimizer must agree with the
-    /// retained single-tape oracle: same ranking, near-identical masks.
+    /// The pre-refactor optimizer, kept as the behavioural oracle for
+    /// [`optimize_mask`]: one scalar tape per step carrying the gate, the
+    /// D term, and both penalties. Gradients agree with `optimize_mask`
+    /// up to floating-point association (its λ-terms are closed-form), so
+    /// parity is asserted on the *ranked* masks.
+    fn optimize_mask_single_tape<S: MaskedSystem>(system: &S, cfg: &MaskConfig) -> MaskResult {
+        let n = system.n_connections();
+        let reference = system.reference_output();
+        let mut logits = vec![cfg.init_logit; n];
+        let mut opt = Adam::new(cfg.learning_rate);
+        let mut loss_history = Vec::with_capacity(cfg.steps);
+        let (mut final_d, mut final_l1, mut final_entropy) = (0.0, 0.0, 0.0);
+
+        for step in 0..cfg.steps {
+            let warmup_steps = cfg.entropy_warmup * cfg.steps as f64;
+            let l2_now = if (step as f64) < warmup_steps {
+                0.0
+            } else {
+                cfg.lambda2
+            };
+            let tape = Tape::new();
+            let logit_vars = tape.vars(&logits);
+            let mask: Vec<Var<'_>> = logit_vars.iter().map(|v| v.sigmoid()).collect();
+
+            let output = system.masked_output(&tape, &mask);
+            assert_eq!(
+                output.len(),
+                reference.len(),
+                "masked_output length must match reference_output"
+            );
+            let d = d_term(&tape, &output, &reference, system.output_kind());
+
+            // ‖W‖ — Eq. 7 (masks are already in (0,1): |W| = W).
+            let l1 = sum(&tape, &mask);
+
+            // H(W) — Eq. 8.
+            let ent_terms: Vec<Var<'_>> = mask.iter().map(|w| w.binary_entropy()).collect();
+            let entropy = sum(&tape, &ent_terms);
+
+            let loss = d + l1 * cfg.lambda1 + entropy * l2_now;
+            loss_history.push(loss.value());
+            final_d = d.value();
+            final_l1 = l1.value();
+            final_entropy = entropy.value();
+
+            let grads = loss.grad();
+            let mut grad_vec: Vec<f64> = logit_vars.iter().map(|v| grads.wrt(*v)).collect();
+            let mut params = [ParamGrad {
+                param: &mut logits,
+                grad: &mut grad_vec,
+            }];
+            opt.step(&mut params);
+        }
+
+        let mask = logits.iter().map(|&l| 1.0 / (1.0 + (-l).exp())).collect();
+        MaskResult {
+            mask,
+            loss_history,
+            final_d,
+            final_l1,
+            final_entropy,
+        }
+    }
+
+    /// The per-connection optimizer must agree with the single-tape
+    /// oracle: same ranking, near-identical masks.
     #[test]
     fn new_optimizer_matches_single_tape_reference() {
         let sys = LinearSystem {
@@ -416,7 +428,7 @@ mod tests {
         };
         let cfg = MaskConfig::default();
         let new = optimize_mask(&sys, &cfg);
-        let old = reference::optimize_mask_single_tape(&sys, &cfg);
+        let old = optimize_mask_single_tape(&sys, &cfg);
         assert_eq!(new.ranked(), old.ranked());
         for (a, b) in new.mask.iter().zip(old.mask.iter()) {
             assert!((a - b).abs() < 1e-6, "mask drift: {a} vs {b}");
@@ -572,5 +584,17 @@ mod tests {
         assert_eq!(r.ranked(), vec![1, 2, 0]);
         assert!((r.scale() - (0.2 + 0.9 + 0.5) / 3.0).abs() < 1e-12);
         assert!((r.median_fraction(0.3, 0.7) - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ranked_puts_nan_last_without_panicking() {
+        let r = MaskResult {
+            mask: vec![0.2, -f64::NAN, 0.9, f64::NAN, 0.2, 0.5],
+            loss_history: vec![],
+            final_d: 0.0,
+            final_l1: 0.0,
+            final_entropy: 0.0,
+        };
+        assert_eq!(r.ranked(), vec![2, 5, 0, 4, 1, 3]);
     }
 }

@@ -12,8 +12,9 @@
 //! * [`latency::LatencyModel`] — M/M/1-style queueing ground truth
 //!   (substitute for the packet-level dataset; DESIGN.md §1.3),
 //! * [`routenet::RouteNetModel`] — a path↔link message-passing latency
-//!   predictor with twin f64/tape forwards (the tape version powers both
-//!   training and the §4.2 mask search),
+//!   predictor with twin f64/tape forwards: the f64 version serves
+//!   inference and the §4.2 mask search (with a hand-derived mask
+//!   adjoint), the tape version training and the search's test oracle,
 //! * [`routenet_star`] — the closed-loop greedy routing optimizer.
 
 pub mod demand;
@@ -26,6 +27,6 @@ pub mod topo;
 pub use demand::{demand_corpus, generate_demands, Demand, DemandSample};
 pub use latency::{LatencyModel, Routing};
 pub use paths::{all_paths_within, candidate_paths, shortest_hops};
-pub use routenet::{connections, RouteNetModel, MP_ROUNDS};
+pub use routenet::{connections, CandidatePass, RouteNetModel, RoutingLinks, MP_ROUNDS};
 pub use routenet_star::{candidates_for, optimize_routing, LatencyPredictor};
 pub use topo::{Link, Topology};

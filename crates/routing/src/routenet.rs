@@ -3,12 +3,14 @@
 //! links carry hidden states; T rounds of message passing exchange state
 //! across (path, link) connections; a readout predicts per-path delay.
 //!
-//! The forward pass exists twice: a fast `f64` version for inference and a
-//! [`metis_nn::tape`] version used for both training and — crucially — the
-//! Metis mask search, where each (path, link) connection's messages are
-//! damped by a mask variable and gradients flow back to the mask
-//! (§4.2 / Eq. 9 of the paper). A unit test pins the two implementations
-//! to each other.
+//! The forward pass exists twice. The `f64` version serves inference and
+//! the Metis mask search (§4.2 / Eq. 9 of the paper): each (path, link)
+//! connection's messages are damped by a mask value, and
+//! [`RouteNetModel::candidate_pass`] records every round's states so
+//! [`CandidatePass::mask_grad`] can walk them back by hand, giving the
+//! mask gradient without a tape and without parameter gradients. The
+//! [`metis_nn::tape`] version serves training and is the oracle the hand
+//! adjoint is tested against. Unit tests pin the two to each other.
 
 use crate::demand::Demand;
 use crate::latency::Routing;
@@ -38,6 +40,14 @@ struct Layout {
     w_out: usize,
     b_out: usize,
     total: usize,
+}
+
+/// Hidden states of every f64 message-passing round: `paths[t]` and
+/// `links[t]` hold the states entering round `t`, row-major with `hidden`
+/// values per path or link; index [`MP_ROUNDS`] holds the final states.
+struct RoundStates {
+    paths: Vec<Vec<f64>>,
+    links: Vec<Vec<f64>>,
 }
 
 impl RouteNetModel {
@@ -75,8 +85,7 @@ impl RouteNetModel {
         self.params.len()
     }
 
-    /// Flat parameter vector (used by the mask search, which replays the
-    /// forward pass on a tape with the parameters as constants).
+    /// Flat parameter vector (what the tape forwards take as variables).
     pub fn params(&self) -> &[f64] {
         &self.params
     }
@@ -98,88 +107,12 @@ impl RouteNetModel {
         let d = self.hidden;
         let layout = Self::layout(d);
         let path_links: Vec<Vec<usize>> = routing.iter().map(|p| topo.path_links(p)).collect();
-        if let Some(m) = mask {
-            let n: usize = path_links.iter().map(|l| l.len()).sum();
-            assert_eq!(m.len(), n, "mask length must equal connection count");
-        }
-
-        let mut h_link: Vec<Vec<f64>> = (0..topo.n_links())
-            .map(|l| {
-                let mut h = vec![0.0; d];
-                h[0] = topo.link(l).capacity / 10.0;
-                h
-            })
-            .collect();
-        let mut h_path: Vec<Vec<f64>> = demands
-            .iter()
-            .map(|dm| {
-                let mut h = vec![0.0; d];
-                h[0] = dm.volume;
-                h
-            })
-            .collect();
-
-        let matvec = |w_off: usize, b_off: usize, input: &[f64]| -> Vec<f64> {
-            let in_dim = 2 * d + 1;
-            (0..d)
-                .map(|r| {
-                    let mut acc = self.params[b_off + r];
-                    for (c, &x) in input.iter().enumerate() {
-                        acc += self.params[w_off + r * in_dim + c] * x;
-                    }
-                    acc.tanh()
-                })
-                .collect()
-        };
-
-        for _ in 0..MP_ROUNDS {
-            // Path updates.
-            let mut conn = 0usize;
-            let mut new_paths = Vec::with_capacity(h_path.len());
-            for (p, links) in path_links.iter().enumerate() {
-                let mut agg = vec![0.0; d];
-                for &l in links {
-                    let m = mask.map_or(1.0, |mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
-                        agg[k] += m * h_link[l][k];
-                    }
-                }
-                let mut input = h_path[p].clone();
-                input.extend_from_slice(&agg);
-                input.push(demands[p].volume);
-                new_paths.push(matvec(layout.w_path, layout.b_path, &input));
-            }
-            h_path = new_paths;
-
-            // Link updates.
-            let mut agg_link = vec![vec![0.0; d]; topo.n_links()];
-            let mut conn = 0usize;
-            for (p, links) in path_links.iter().enumerate() {
-                for &l in links {
-                    let m = mask.map_or(1.0, |mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
-                        agg_link[l][k] += m * h_path[p][k];
-                    }
-                }
-            }
-            let mut new_links = Vec::with_capacity(h_link.len());
-            for l in 0..topo.n_links() {
-                let mut input = h_link[l].clone();
-                input.extend_from_slice(&agg_link[l]);
-                input.push(topo.link(l).capacity / 10.0);
-                new_links.push(matvec(layout.w_link, layout.b_link, &input));
-            }
-            h_link = new_links;
-        }
-
-        // Readout.
-        h_path
-            .iter()
+        let states = self.message_passing(topo, demands, &path_links, mask);
+        let w_out = &self.params[layout.w_out..layout.w_out + d];
+        states.paths[MP_ROUNDS]
+            .chunks_exact(d)
             .map(|h| {
                 let mut acc = self.params[layout.b_out];
-                let w_out = &self.params[layout.w_out..layout.w_out + d];
                 acc += w_out
                     .iter()
                     .zip(h.iter())
@@ -190,10 +123,219 @@ impl RouteNetModel {
             .collect()
     }
 
-    /// Tape forward with per-connection mask variables (the differentiable
-    /// path used by training and by the Metis critical-connection search).
-    /// Parameters enter as tape vars so the same code trains the model.
-    pub fn forward_tape<'t>(
+    /// One path or link update, `out = tanh(W·[h, agg, x] + b)`, summed
+    /// in input order like the tape version.
+    fn update(&self, w_off: usize, b_off: usize, h: &[f64], agg: &[f64], x: f64, out: &mut [f64]) {
+        let d = self.hidden;
+        let in_dim = 2 * d + 1;
+        for (r, o) in out.iter_mut().enumerate() {
+            let w = &self.params[w_off + r * in_dim..w_off + (r + 1) * in_dim];
+            let mut acc = self.params[b_off + r];
+            for (wc, hc) in w[..d].iter().zip(h) {
+                acc += wc * hc;
+            }
+            for (wc, ac) in w[d..2 * d].iter().zip(agg) {
+                acc += wc * ac;
+            }
+            acc += w[2 * d] * x;
+            *o = acc.tanh();
+        }
+    }
+
+    /// Adjoint of [`Self::update`]: given its output `out` and the output's
+    /// adjoint `d_out`, add the adjoints of the `h` and `agg` inputs into
+    /// `d_h` and `d_agg`. The constant input `x` needs none.
+    fn update_adjoint(
+        &self,
+        w_off: usize,
+        out: &[f64],
+        d_out: &[f64],
+        d_h: &mut [f64],
+        d_agg: &mut [f64],
+    ) {
+        let d = self.hidden;
+        let in_dim = 2 * d + 1;
+        for (r, (&o, &g)) in out.iter().zip(d_out).enumerate() {
+            let g = g * (1.0 - o * o);
+            let w = &self.params[w_off + r * in_dim..w_off + (r + 1) * in_dim];
+            for k in 0..d {
+                d_h[k] += w[k] * g;
+                d_agg[k] += w[d + k] * g;
+            }
+        }
+    }
+
+    /// The f64 message passing over routed paths given as link lists,
+    /// with every round's states kept. `mask` damps each connection's
+    /// messages in both directions.
+    fn message_passing(
+        &self,
+        topo: &Topology,
+        demands: &[Demand],
+        path_links: &[Vec<usize>],
+        mask: Option<&[f64]>,
+    ) -> RoundStates {
+        let d = self.hidden;
+        let layout = Self::layout(d);
+        let n_links = topo.n_links();
+        let n_paths = path_links.len();
+        if let Some(m) = mask {
+            let n: usize = path_links.iter().map(|l| l.len()).sum();
+            assert_eq!(m.len(), n, "mask length must equal connection count");
+        }
+
+        let mut links = vec![0.0; n_links * d];
+        for (l, h) in links.chunks_exact_mut(d).enumerate() {
+            h[0] = topo.link(l).capacity / 10.0;
+        }
+        let mut paths = vec![0.0; n_paths * d];
+        for (h, dm) in paths.chunks_exact_mut(d).zip(demands) {
+            h[0] = dm.volume;
+        }
+        let mut states = RoundStates {
+            paths: vec![paths],
+            links: vec![links],
+        };
+
+        let mut agg = vec![0.0; d];
+        let mut agg_link = vec![0.0; n_links * d];
+        for _ in 0..MP_ROUNDS {
+            let h_link = &states.links[states.links.len() - 1];
+            let h_path = &states.paths[states.paths.len() - 1];
+
+            // Path updates.
+            let mut new_paths = vec![0.0; n_paths * d];
+            let mut conn = 0usize;
+            for (p, links) in path_links.iter().enumerate() {
+                agg.fill(0.0);
+                for &l in links {
+                    let m = mask.map_or(1.0, |mm| mm[conn]);
+                    conn += 1;
+                    for (a, h) in agg.iter_mut().zip(&h_link[l * d..(l + 1) * d]) {
+                        *a += m * h;
+                    }
+                }
+                self.update(
+                    layout.w_path,
+                    layout.b_path,
+                    &h_path[p * d..(p + 1) * d],
+                    &agg,
+                    demands[p].volume,
+                    &mut new_paths[p * d..(p + 1) * d],
+                );
+            }
+
+            // Link updates.
+            agg_link.fill(0.0);
+            let mut conn = 0usize;
+            for (p, links) in path_links.iter().enumerate() {
+                for &l in links {
+                    let m = mask.map_or(1.0, |mm| mm[conn]);
+                    conn += 1;
+                    let hp = &new_paths[p * d..(p + 1) * d];
+                    for (a, h) in agg_link[l * d..(l + 1) * d].iter_mut().zip(hp) {
+                        *a += m * h;
+                    }
+                }
+            }
+            let mut new_links = vec![0.0; n_links * d];
+            for l in 0..n_links {
+                self.update(
+                    layout.w_link,
+                    layout.b_link,
+                    &h_link[l * d..(l + 1) * d],
+                    &agg_link[l * d..(l + 1) * d],
+                    topo.link(l).capacity / 10.0,
+                    &mut new_links[l * d..(l + 1) * d],
+                );
+            }
+            states.paths.push(new_paths);
+            states.links.push(new_links);
+        }
+        states
+    }
+
+    /// Masked message passing over `links`' routed paths, then candidate
+    /// scoring: every candidate path of every demand gets one path update
+    /// from scratch over the final (mask-shaped) link states, plus the
+    /// readout. [`CandidatePass::delays`] lists the predicted delays
+    /// demand-major, candidates in order. The pass keeps every
+    /// intermediate state for [`CandidatePass::mask_grad`].
+    pub fn candidate_pass<'a>(
+        &'a self,
+        topo: &Topology,
+        demands: &[Demand],
+        links: &'a RoutingLinks,
+        mask: Option<&'a [f64]>,
+    ) -> CandidatePass<'a> {
+        assert_eq!(
+            links.candidates.len(),
+            demands.len(),
+            "one candidate list per demand"
+        );
+        let d = self.hidden;
+        let layout = Self::layout(d);
+        let states = self.message_passing(topo, demands, &links.paths, mask);
+        let h_link = &states.links[MP_ROUNDS];
+        let n = links.n_candidates();
+        let mut cand_out = vec![0.0; n * d];
+        let mut delays = Vec::with_capacity(n);
+        let w_out = &self.params[layout.w_out..layout.w_out + d];
+        let mut h = vec![0.0; d];
+        let mut agg = vec![0.0; d];
+        let mut outs = cand_out.chunks_exact_mut(d);
+        for (dm, cands) in demands.iter().zip(&links.candidates) {
+            h[0] = dm.volume;
+            for cand in cands {
+                agg.fill(0.0);
+                for &l in cand {
+                    for (a, hl) in agg.iter_mut().zip(&h_link[l * d..(l + 1) * d]) {
+                        *a += hl;
+                    }
+                }
+                let out = outs.next().expect("one output row per candidate");
+                self.update(layout.w_path, layout.b_path, &h, &agg, dm.volume, out);
+                let mut acc = self.params[layout.b_out];
+                for (w, o) in w_out.iter().zip(&*out) {
+                    acc += w * o;
+                }
+                delays.push(acc);
+            }
+        }
+        CandidatePass {
+            model: self,
+            links,
+            mask,
+            states,
+            cand_out,
+            delays,
+        }
+    }
+
+    /// `y = tanh(W·x + b)` over tape variables.
+    fn tape_update<'t>(
+        &self,
+        param_vars: &[Var<'t>],
+        w_off: usize,
+        b_off: usize,
+        input: &[Var<'t>],
+    ) -> Vec<Var<'t>> {
+        let in_dim = 2 * self.hidden + 1;
+        (0..self.hidden)
+            .map(|r| {
+                let mut acc = param_vars[b_off + r];
+                for (c, x) in input.iter().enumerate() {
+                    acc = acc + param_vars[w_off + r * in_dim + c] * *x;
+                }
+                acc.tanh()
+            })
+            .collect()
+    }
+
+    /// The masked message passing on a tape; returns the final path and
+    /// link states.
+    #[allow(clippy::type_complexity)] // (path states, link states)
+    fn message_passing_tape<'t>(
         &self,
         tape: &'t Tape,
         param_vars: &[Var<'t>],
@@ -201,7 +343,7 @@ impl RouteNetModel {
         demands: &[Demand],
         routing: &Routing,
         mask: Option<&[Var<'t>]>,
-    ) -> Vec<Var<'t>> {
+    ) -> (Vec<Vec<Var<'t>>>, Vec<Vec<Var<'t>>>) {
         let d = self.hidden;
         let layout = Self::layout(d);
         assert_eq!(param_vars.len(), layout.total);
@@ -223,19 +365,6 @@ impl RouteNetModel {
             })
             .collect();
 
-        let matvec = |w_off: usize, b_off: usize, input: &[Var<'t>]| -> Vec<Var<'t>> {
-            let in_dim = 2 * d + 1;
-            (0..d)
-                .map(|r| {
-                    let mut acc = param_vars[b_off + r];
-                    for (c, x) in input.iter().enumerate() {
-                        acc = acc + param_vars[w_off + r * in_dim + c] * *x;
-                    }
-                    acc.tanh()
-                })
-                .collect()
-        };
-
         for _ in 0..MP_ROUNDS {
             let mut conn = 0usize;
             let mut new_paths = Vec::with_capacity(h_path.len());
@@ -255,7 +384,7 @@ impl RouteNetModel {
                 let mut input = h_path[p].clone();
                 input.extend_from_slice(&agg);
                 input.push(tape.var(demands[p].volume));
-                new_paths.push(matvec(layout.w_path, layout.b_path, &input));
+                new_paths.push(self.tape_update(param_vars, layout.w_path, layout.b_path, &input));
             }
             h_path = new_paths;
 
@@ -279,11 +408,28 @@ impl RouteNetModel {
                 let mut input = h_link[l].clone();
                 input.extend_from_slice(&agg_link[l]);
                 input.push(tape.var(topo.link(l).capacity / 10.0));
-                new_links.push(matvec(layout.w_link, layout.b_link, &input));
+                new_links.push(self.tape_update(param_vars, layout.w_link, layout.b_link, &input));
             }
             h_link = new_links;
         }
+        (h_path, h_link)
+    }
 
+    /// Tape forward with optional per-connection mask variables: the
+    /// differentiable path used by training (the parameters enter as tape
+    /// vars) and by the tape oracle of the mask search.
+    pub fn forward_tape<'t>(
+        &self,
+        tape: &'t Tape,
+        param_vars: &[Var<'t>],
+        topo: &Topology,
+        demands: &[Demand],
+        routing: &Routing,
+        mask: Option<&[Var<'t>]>,
+    ) -> Vec<Var<'t>> {
+        let d = self.hidden;
+        let layout = Self::layout(d);
+        let (h_path, _) = self.message_passing_tape(tape, param_vars, topo, demands, routing, mask);
         h_path
             .iter()
             .map(|h| {
@@ -296,11 +442,9 @@ impl RouteNetModel {
             .collect()
     }
 
-    /// Differentiable candidate scoring for the closed-loop mask search:
-    /// run the masked message passing over the *chosen* routing, then score
-    /// every candidate path of every demand by one path-update over the
-    /// final (mask-shaped) link states plus the readout. Element `[i][c]`
-    /// is the predicted delay of demand `i` on its `c`-th candidate.
+    /// Tape twin of [`Self::candidate_pass`]: element `[i][c]` is the
+    /// predicted delay of demand `i` on its `c`-th candidate. The mask
+    /// search's tape oracle differentiates this.
     #[allow(clippy::too_many_arguments)] // mirrors the message-passing signature
     pub fn candidate_delays_tape<'t>(
         &self,
@@ -314,85 +458,7 @@ impl RouteNetModel {
     ) -> Vec<Vec<Var<'t>>> {
         let d = self.hidden;
         let layout = Self::layout(d);
-        // Re-run the masked message passing to obtain final link states.
-        // (Duplicates forward_tape's loop so we can keep the link states;
-        // the duplication is pinned by tests against forward_tape.)
-        let path_links: Vec<Vec<usize>> = routing.iter().map(|p| topo.path_links(p)).collect();
-        let matvec = |w_off: usize, b_off: usize, input: &[Var<'t>]| -> Vec<Var<'t>> {
-            let in_dim = 2 * d + 1;
-            (0..d)
-                .map(|r| {
-                    let mut acc = param_vars[b_off + r];
-                    for (c, x) in input.iter().enumerate() {
-                        acc = acc + param_vars[w_off + r * in_dim + c] * *x;
-                    }
-                    acc.tanh()
-                })
-                .collect()
-        };
-
-        let mut h_link: Vec<Vec<Var<'t>>> = (0..topo.n_links())
-            .map(|l| {
-                let mut h = vec![tape.var(0.0); d];
-                h[0] = tape.var(topo.link(l).capacity / 10.0);
-                h
-            })
-            .collect();
-        let mut h_path: Vec<Vec<Var<'t>>> = demands
-            .iter()
-            .map(|dm| {
-                let mut h = vec![tape.var(0.0); d];
-                h[0] = tape.var(dm.volume);
-                h
-            })
-            .collect();
-        for _ in 0..MP_ROUNDS {
-            let mut conn = 0usize;
-            let mut new_paths = Vec::with_capacity(h_path.len());
-            for (p, links) in path_links.iter().enumerate() {
-                let mut agg = vec![tape.var(0.0); d];
-                for &l in links {
-                    let m = mask.map(|mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
-                        let term = match m {
-                            Some(mv) => mv * h_link[l][k],
-                            None => h_link[l][k],
-                        };
-                        agg[k] = agg[k] + term;
-                    }
-                }
-                let mut input = h_path[p].clone();
-                input.extend_from_slice(&agg);
-                input.push(tape.var(demands[p].volume));
-                new_paths.push(matvec(layout.w_path, layout.b_path, &input));
-            }
-            h_path = new_paths;
-
-            let mut agg_link = vec![vec![tape.var(0.0); d]; topo.n_links()];
-            let mut conn = 0usize;
-            for (p, links) in path_links.iter().enumerate() {
-                for &l in links {
-                    let m = mask.map(|mm| mm[conn]);
-                    conn += 1;
-                    for k in 0..d {
-                        let term = match m {
-                            Some(mv) => mv * h_path[p][k],
-                            None => h_path[p][k],
-                        };
-                        agg_link[l][k] = agg_link[l][k] + term;
-                    }
-                }
-            }
-            let mut new_links = Vec::with_capacity(h_link.len());
-            for l in 0..topo.n_links() {
-                let mut input = h_link[l].clone();
-                input.extend_from_slice(&agg_link[l]);
-                input.push(tape.var(topo.link(l).capacity / 10.0));
-                new_links.push(matvec(layout.w_link, layout.b_link, &input));
-            }
-            h_link = new_links;
-        }
+        let (_, h_link) = self.message_passing_tape(tape, param_vars, topo, demands, routing, mask);
 
         // Candidate scoring: one path update from scratch over the final
         // link states, then the readout.
@@ -414,7 +480,8 @@ impl RouteNetModel {
                         let mut input = h;
                         input.extend_from_slice(&agg);
                         input.push(tape.var(dm.volume));
-                        let out = matvec(layout.w_path, layout.b_path, &input);
+                        let out =
+                            self.tape_update(param_vars, layout.w_path, layout.b_path, &input);
                         let mut acc = param_vars[layout.b_out];
                         for k in 0..d {
                             acc = acc + param_vars[layout.w_out + k] * out[k];
@@ -474,6 +541,161 @@ pub fn connections(topo: &Topology, routing: &Routing) -> Vec<(usize, usize)> {
         }
     }
     out
+}
+
+/// A routing and its demands' candidate paths resolved to link lists
+/// once, for repeated [`RouteNetModel::candidate_pass`] calls. The routed
+/// paths' links, concatenated, are the [`connections`] order.
+#[derive(Debug)]
+pub struct RoutingLinks {
+    paths: Vec<Vec<usize>>,
+    candidates: Vec<Vec<Vec<usize>>>,
+}
+
+impl RoutingLinks {
+    /// `candidates[i]` lists demand `i`'s candidate node paths.
+    pub fn new(topo: &Topology, routing: &Routing, candidates: &[Vec<Vec<usize>>]) -> Self {
+        RoutingLinks {
+            paths: routing.iter().map(|p| topo.path_links(p)).collect(),
+            candidates: candidates
+                .iter()
+                .map(|cands| cands.iter().map(|c| topo.path_links(c)).collect())
+                .collect(),
+        }
+    }
+
+    /// Number of (path, link) connections of the routing.
+    pub fn n_connections(&self) -> usize {
+        self.paths.iter().map(Vec::len).sum()
+    }
+
+    /// Number of candidate paths over all demands.
+    fn n_candidates(&self) -> usize {
+        self.candidates.iter().map(Vec::len).sum()
+    }
+}
+
+/// One recorded f64 [`RouteNetModel::candidate_pass`].
+pub struct CandidatePass<'a> {
+    model: &'a RouteNetModel,
+    links: &'a RoutingLinks,
+    mask: Option<&'a [f64]>,
+    states: RoundStates,
+    /// Each candidate's path-update output, `hidden` values per candidate.
+    cand_out: Vec<f64>,
+    delays: Vec<f64>,
+}
+
+impl CandidatePass<'_> {
+    /// Predicted delay of every candidate, demand-major.
+    pub fn delays(&self) -> &[f64] {
+        &self.delays
+    }
+
+    /// Reverse-mode gradient of a scalar loss with respect to the mask,
+    /// given the loss's adjoint `d_delays` of [`Self::delays`]: the
+    /// candidate readout and path update, then each round's link and path
+    /// updates in reverse order. A connection's mask scales the messages
+    /// it carries both ways, so its gradient is the adjoint of each
+    /// aggregate it feeds dotted with the state it carries. An absent
+    /// mask counts as all ones. Model parameters get no gradient.
+    pub fn mask_grad(&self, d_delays: &[f64]) -> Vec<f64> {
+        assert_eq!(d_delays.len(), self.delays.len(), "one adjoint per delay");
+        let model = self.model;
+        let d = model.hidden;
+        let layout = RouteNetModel::layout(d);
+        let mask_at = |conn: usize| self.mask.map_or(1.0, |m| m[conn]);
+        let n_links = self.states.links[0].len() / d;
+        let n_paths = self.links.paths.len();
+        let row = |i: usize| i * d..(i + 1) * d;
+
+        // Candidate readout and path update, back to the final link states.
+        let mut d_link = vec![0.0; n_links * d];
+        let mut d_out = vec![0.0; d];
+        // A candidate's starting state is a constant: its adjoint is dropped.
+        let mut d_h = vec![0.0; d];
+        let mut d_agg = vec![0.0; d];
+        let w_out = &model.params[layout.w_out..layout.w_out + d];
+        let cands = self.links.candidates.iter().flatten();
+        for ((cand, &g), out) in cands.zip(d_delays).zip(self.cand_out.chunks_exact(d)) {
+            for (o, w) in d_out.iter_mut().zip(w_out) {
+                *o = g * w;
+            }
+            d_agg.fill(0.0);
+            model.update_adjoint(layout.w_path, out, &d_out, &mut d_h, &mut d_agg);
+            for &l in cand {
+                for (dl, da) in d_link[row(l)].iter_mut().zip(&d_agg) {
+                    *dl += da;
+                }
+            }
+        }
+
+        let mut grad = vec![0.0; self.links.n_connections()];
+        let mut d_path = vec![0.0; n_paths * d];
+        let mut d_link_in = vec![0.0; n_links * d];
+        let mut d_path_in = vec![0.0; n_paths * d];
+        let mut d_agg_link = vec![0.0; n_links * d];
+        for t in (0..MP_ROUNDS).rev() {
+            let (links_in, links_out) = (&self.states.links[t], &self.states.links[t + 1]);
+            let paths_out = &self.states.paths[t + 1];
+
+            // Link updates: L' = tanh(W_link·[L, agg_link, cap] + b).
+            d_link_in.fill(0.0);
+            d_agg_link.fill(0.0);
+            for l in 0..n_links {
+                model.update_adjoint(
+                    layout.w_link,
+                    &links_out[row(l)],
+                    &d_link[row(l)],
+                    &mut d_link_in[row(l)],
+                    &mut d_agg_link[row(l)],
+                );
+            }
+            // agg_link[l] = Σ m_c · P'[p] over the connections (p, l).
+            let mut conn = 0usize;
+            for (p, links) in self.links.paths.iter().enumerate() {
+                for &l in links {
+                    let m = mask_at(conn);
+                    let da = &d_agg_link[row(l)];
+                    grad[conn] += dot(da, &paths_out[row(p)]);
+                    for (dp, a) in d_path[row(p)].iter_mut().zip(da) {
+                        *dp += m * a;
+                    }
+                    conn += 1;
+                }
+            }
+
+            // Path updates: P' = tanh(W_path·[P, agg, volume] + b), with
+            // agg = Σ m_c · L[l] over the path's connections.
+            d_path_in.fill(0.0);
+            let mut conn = 0usize;
+            for (p, links) in self.links.paths.iter().enumerate() {
+                d_agg.fill(0.0);
+                model.update_adjoint(
+                    layout.w_path,
+                    &paths_out[row(p)],
+                    &d_path[row(p)],
+                    &mut d_path_in[row(p)],
+                    &mut d_agg,
+                );
+                for &l in links {
+                    let m = mask_at(conn);
+                    grad[conn] += dot(&d_agg, &links_in[row(l)]);
+                    for (dl, a) in d_link_in[row(l)].iter_mut().zip(&d_agg) {
+                        *dl += m * a;
+                    }
+                    conn += 1;
+                }
+            }
+            std::mem::swap(&mut d_link, &mut d_link_in);
+            std::mem::swap(&mut d_path, &mut d_path_in);
+        }
+        grad
+    }
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -544,6 +766,55 @@ mod tests {
             .iter()
             .zip(zeroed.iter())
             .any(|(a, b)| (a - b).abs() > 1e-9));
+    }
+
+    /// The recorded f64 pass scores candidates like the tape version, and
+    /// its hand adjoint gives the tape's mask gradient of `Σ a_j·delay_j`
+    /// for an arbitrary adjoint `a`.
+    #[test]
+    fn candidate_pass_and_adjoint_match_tape() {
+        let (topo, demands, routing) = setup();
+        let mut rng = StdRng::seed_from_u64(9);
+        let model = RouteNetModel::new(5, &mut rng);
+        let candidates = crate::candidates_for(&topo, &demands);
+        let links = RoutingLinks::new(&topo, &routing, &candidates);
+        let n = links.n_connections();
+        assert_eq!(n, connections(&topo, &routing).len());
+        let mask: Vec<f64> = (0..n).map(|i| 0.1 + 0.8 * i as f64 / n as f64).collect();
+        let adjoint: Vec<f64> = (0..links.n_candidates())
+            .map(|j| ((j * 5 % 7) as f64 - 3.0) / 2.0)
+            .collect();
+
+        for mask in [None, Some(&mask[..])] {
+            let pass = model.candidate_pass(&topo, &demands, &links, mask);
+            let tape = Tape::new();
+            let pv = tape.vars(&model.params);
+            let mv = tape.vars(mask.unwrap_or(&vec![1.0; n]));
+            let delays = model.candidate_delays_tape(
+                &tape,
+                &pv,
+                &topo,
+                &demands,
+                &routing,
+                &candidates,
+                Some(&mv),
+            );
+            let flat: Vec<Var<'_>> = delays.into_iter().flatten().collect();
+            assert_eq!(flat.len(), pass.delays().len());
+            let mut loss = tape.var(0.0);
+            for ((v, &fast), &a) in flat.iter().zip(pass.delays()).zip(&adjoint) {
+                assert!((v.value() - fast).abs() < 1e-12, "{} vs {fast}", v.value());
+                loss = loss + *v * a;
+            }
+            let grads = loss.grad();
+            for (i, (v, g)) in mv.iter().zip(pass.mask_grad(&adjoint)).enumerate() {
+                let want = grads.wrt(*v);
+                assert!(
+                    (g - want).abs() <= 1e-12 + 1e-9 * want.abs(),
+                    "dL/dm[{i}]: {g} vs tape {want}"
+                );
+            }
+        }
     }
 
     #[test]
